@@ -22,9 +22,22 @@ frontier size):
       → map_batches(fetch: actor pool or elastic tasks)      [T1/M2/M3]
       → materialize (the bounded pass result)
 
-then derived branches (documents sink, link explosion → frontier append,
-retry table, metrics/lineage, watermark gating) and an atomic checkpoint
-whose commit point is meta.json (kill anywhere → exact resume).
+then derived branches over the materialized result:
+
+    documents sink (streaming parquet write)
+    filter(ok) → explode links → canonicalize/hash/route   [one fused task
+      per fetch block] → blocks read zero-copy on the driver
+    driver, over those link rows and the deferred rows:
+      lineage sink (one file per pass, on a driver thread)
+      ONE seen probe per pass (one RPC per shard)            [J1]
+      → own/foreign split (foreign links post to the owning
+        engine's mailbox)
+      → exact dedup + per-partition rowid assignment         [a sort —
+        no shuffle, no repartition] → frontier append
+    retry table, metrics, watermark gating
+
+and an atomic checkpoint whose commit point is meta.json (kill anywhere →
+exact resume).
 
 Watermark semantics (the critical reference invariant [recon:
 ``__init__.py:≈310–330``]): a partition's watermark advances to the max
@@ -54,7 +67,8 @@ from ..functions.hashing import hash64_many
 from ..schemas import BUCKETS, CHECKPOINTS, FRONTIER, LINEAGE, METRICS, RETRY
 from ..sources import synth
 from ..stages.fetch import FetchStage, SimulatedFetchHandler
-from ..stages.links import explode_links, make_link_enrich, make_rowid_assigner
+from ..stages.links import (assign_rowids, explode_links, make_link_enrich,
+                            to_append_shape)
 from ..stages.politeness import make_schedule_fn
 from ..stages.probe import make_probe_fn
 from ..stages.scan import make_watermark_filter
@@ -433,16 +447,22 @@ def _write_state_fragments(store: TableStore, cfg: CrawlConfig,
     # engine by >KEEP passes, so a stalled engine pins retention until it
     # resumes. The 'temporal overlap' bound holds at ROLLBACK time only
     # when anchored to the slowest engine.
+    frontier = p
     if cfg.num_engines > 1:
-        frontier = p
         for e in range(cfg.num_engines):
             if e == cfg.engine_index:
                 continue
             m_e = store.read_meta(f"meta-e{e}.json")
-            frontier = min(frontier,
-                           m_e["pass_id"] if m_e is not None else -1)
-    else:
-        frontier = p
+            e_pass = m_e["pass_id"] if m_e is not None else -1
+            if e_pass < p - _MARK_WAL_KEEP:
+                # retention stays pinned (WAL fragments accumulate) until
+                # the lagging engine commits again
+                _LOG.warning(
+                    "mark-WAL retention pinned: engine %d committed pass "
+                    "%s, engine %d is at pass %d",
+                    e, e_pass if m_e is not None else "none (no meta)",
+                    cfg.engine_index, p)
+            frontier = min(frontier, e_pass)
     store.gc_state_fragments("marks", _etag(cfg, "marks"),
                              frontier - _MARK_WAL_KEEP)
 
@@ -709,11 +729,10 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # docs). Bulk driver apply also removes per-batch shard RPCs from
     # the fetch path. WAL-then-mark runs on a DRIVER THREAD overlapped
     # with the fetch stage: nothing in the fetch path reads the seen
-    # set, and the one consumer that does (the discovered-link probe in
-    # the flat branch) only starts after the fetch materialize, by
-    # which point the thread has been joined. The WAL write strictly
-    # precedes the first contains_add inside the thread, preserving the
-    # crash invariant.
+    # set, and the one consumer that does (the driver's discovered-link
+    # probe) only runs after the thread has been joined. The WAL write
+    # strictly precedes the first contains_add inside the thread,
+    # preserving the crash invariant.
     pipe = pipe.materialize()
 
     def _wal_and_mark():
@@ -771,7 +790,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # ---- three independent consumers of the materialized result run
     # CONCURRENTLY (separate Dataset executions on driver threads):
     #   A. documents sink (streaming parquet write)
-    #   B. link explosion (+ lineage write) — feeds the frontier append
+    #   B. link explosion — feeds the lineage write and frontier append
     #   C. slim driver-side collection for all small derivations
     # Everything except the heavy payload columns (spans/links) comes back
     # in one execution; candidates are bounded by P×items_chunk+|retry|
@@ -799,53 +818,42 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                                               tag=_etag(cfg, "pass")))
 
     def _flat_branch():
-        # explode + canonicalize/hash/route in ONE execution, overlapped
-        # with the driver's slim processing; the seen-probe stays lazy on
-        # the append path so lineage records every extracted edge
-        return (
+        # explode + canonicalize/hash/route fuse into ONE task per fetch
+        # block, overlapped with the driver's slim processing; the blocks
+        # come back to the driver, where the seen probe runs, so lineage
+        # records every extracted edge
+        return _collect(
             result.map_batches(lambda t: t.filter(t.column("ok")),
                                batch_format="pyarrow")
             .map_batches(explode_links, batch_format="pyarrow")
-            # coalesce: downstream probe does one RPC per shard per BLOCK,
-            # so fewer, larger blocks keep the shard actors off the
-            # critical path
-            .repartition(max(cfg.workers, 8))
             .map_batches(
                 make_link_enrich(cfg.num_partitions, state.salted_hosts,
                                  keep_parents=True),
-                batch_format="pyarrow")
-            .materialize()
-        )
+                batch_format="pyarrow"))
 
     def _lineage_branch(flat):
-        # runs concurrently with the driver's frontier-append assembly —
-        # both consume the already-materialized flat blocks
-        if flat.count():
-            lin = flat.map_batches(
-                lambda t: pa.table(
-                    {
-                        "doc_id": t.column("parent_doc_id"),
-                        "parent_url": t.column("parent_url"),
-                        "url": t.column("url"),
-                        "pass_id": pa.array(
-                            np.full(len(t), pass_id, dtype=np.int64)),
-                    },
-                    schema=LINEAGE,
-                ),
-                batch_format="pyarrow",
-            )
-            lin.write_parquet(store.pass_dir("lineage", pass_id,
-                                             tag=_etag(cfg, "pass")))
+        # one file per pass, written on a driver thread concurrently
+        # with the frontier-append assembly over the same table
+        import pyarrow.parquet as pq
+        lin = pa.table(
+            {
+                "doc_id": flat.column("parent_doc_id"),
+                "parent_url": flat.column("parent_url"),
+                "url": flat.column("url"),
+                "pass_id": pa.array(
+                    np.full(len(flat), pass_id, dtype=np.int64)),
+            },
+            schema=LINEAGE,
+        )
+        d = store.pass_dir("lineage", pass_id, tag=_etag(cfg, "pass"))
+        pq.write_table(lin, f"{d}/part-000000.parquet")
 
     pool = ThreadPoolExecutor(max_workers=3)
     docs_fut = pool.submit(_docs_branch)
     flat_fut = pool.submit(_flat_branch)
-    # zero-copy read of the already-materialized blocks (no extra Ray
-    # execution); drop the payload columns before the pandas conversion
-    _slim_tbls = [t for t in ray.get(result.to_arrow_refs())
-                  if t.num_columns and len(t)]
-    slim = (pa.concat_tables(_slim_tbls)
-            .drop_columns(["spans", "links"]).to_pandas())
+    # drop the payload columns before the pandas conversion
+    slim_tbl = _collect(result).drop_columns(["spans", "links"])
+    slim = slim_tbl.to_pandas()
     _mark("slim_collect")
     is_scan = (slim["src"] == "scan").to_numpy()
     sched_a = slim["sched"].to_numpy()
@@ -908,87 +916,45 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # ---- join the link branch (docs sink keeps writing concurrently —
     # it is only joined right before the commit point below) ---------------
     n_fetched = int(pstats["fetched"].sum()) if len(pstats) else 0
-    flat = flat_fut.result()
-    lineage_fut = pool.submit(_lineage_branch, flat)
-    n_new_links = 0
-    new_rows_ds = None
-    if flat.count():
-        # exact per-pass link dedup happens inside the partition
-        # assigner (equal URLs co-locate by construction), so the only
-        # shuffle left on this path is the partition groupby itself
-        new_rows_ds = flat.map_batches(
-            make_probe_fn(seen_args), batch_format="pyarrow"
-        ).map_batches(
-            lambda t: t.filter(pc.invert(t.column("seen"))).drop_columns(
-                ["seen", "parent_url", "parent_doc_id"]),
-            batch_format="pyarrow",
-        )
+    novel = flat_fut.result()
+    lineage_fut = None
+    if novel is not None:
+        lineage_fut = pool.submit(_lineage_branch, novel)
+        # ONE seen probe for the whole pass — one RPC per shard (the
+        # mark thread was joined above, so this pass's marks are in)
+        novel = novel.drop_columns(["parent_url", "parent_doc_id"])
+        novel = novel.filter(pa.array(~state.seen.contains(
+            novel.column("url_hash").to_numpy())))
     _mark("links")
 
-    # ---- deferred re-queue (only for advanced partitions) ----------------
+    # ---- frontier append: deferred re-queue (advanced partitions only)
+    # + novel links, rowids assigned on the driver ----------------------
     deferred_m = ((sched_a == "deferred") & is_scan
                   & np.isin(pid_a, np.fromiter(advanced, dtype=np.int64,
                                                count=len(advanced))))
     append_pieces = []
     if deferred_m.any():
-        dslim = slim.loc[deferred_m]
-        append_pieces.append(ray.data.from_arrow(
-            _append_shape_from_pandas(dslim, order_kind=0)))
-    if new_rows_ds is not None:
-        if cfg.num_engines > 1:
-            # foreign-partition links are POSTED, not appended: only the
-            # owning engine may assign rowids in its partitions
-            E, me = cfg.num_engines, cfg.engine_index
-
-            def _own_filter(t: pa.Table) -> pa.Table:
-                pid = t.column("partition_id").to_numpy()
-                return t.filter(pa.array(pid % E == me))
-
-            def _foreign_filter(t: pa.Table) -> pa.Table:
-                pid = t.column("partition_id").to_numpy()
-                return t.filter(pa.array(pid % E != me))
-
-            foreign_tbls = [
-                t for t in ray.get(
-                    new_rows_ds.map_batches(_foreign_filter,
-                                            batch_format="pyarrow")
-                    .to_arrow_refs())
-                if t.num_columns and len(t)
-            ]
-            if foreign_tbls:
-                foreign = pa.concat_tables(foreign_tbls)
-                fpid = foreign.column("partition_id").to_numpy()
-                for tgt in range(E):
-                    if tgt == me:
-                        continue
-                    sub = foreign.filter(pa.array(fpid % E == tgt))
-                    if len(sub):
-                        store.append_fragment(
-                            "mailbox", sub, pass_id,
-                            tag=f"inbox-e{tgt}-from-e{me}")
-            new_rows_ds = new_rows_ds.map_batches(_own_filter,
-                                                  batch_format="pyarrow")
         append_pieces.append(
-            new_rows_ds.map_batches(_to_append_shape(order_kind=1),
-                                    batch_format="pyarrow"))
+            to_append_shape(slim_tbl.filter(pa.array(deferred_m)), 0))
+    if novel is not None:
+        # foreign-partition links are POSTED, not appended: only the
+        # owning engine may assign rowids in its partitions
+        E, me = cfg.num_engines, cfg.engine_index
+        owner = novel.column("partition_id").to_numpy() % E
+        for tgt in range(E):
+            if tgt != me:
+                sub = novel.filter(pa.array(owner == tgt))
+                if len(sub):
+                    store.append_fragment("mailbox", sub, pass_id,
+                                          tag=f"inbox-e{tgt}-from-e{me}")
+        append_pieces.append(
+            to_append_shape(novel.filter(pa.array(owner == me)), 1))
+    n_new_links = 0
     if append_pieces:
-        app = append_pieces[0]
-        for x in append_pieces[1:]:
-            app = app.union(x)
-        assigned = app.groupby("partition_id").map_groups(
-            make_rowid_assigner(dict(state.next_rowid), pass_id),
-            batch_format="pyarrow",
-        )
-        frag_tbls = ray.get(assigned.to_arrow_refs())
-        frag_tbls = [t.select([f.name for f in FRONTIER])
-                     for t in frag_tbls if t.num_columns and len(t)]
-        if frag_tbls:
-            frag = pa.concat_tables(frag_tbls)
+        frag = assign_rowids(pa.concat_tables(append_pieces),
+                             state.next_rowid, pass_id)
+        if len(frag):
             n_new_links = len(frag)
-            fpid = frag.column("partition_id").to_numpy()
-            for p, n in zip(*np.unique(fpid, return_counts=True)):
-                state.next_rowid[int(p)] = (state.next_rowid.get(int(p), 0)
-                                            + int(n))
             store.append_fragment("frontier", frag, pass_id,
                                   tag=_etag(cfg, "append"),
                                   meta=_frontier_meta(frag))
@@ -1055,19 +1021,21 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     ) if keep_m.any() else _empty_retry()
     _mark("retry")
 
-    # ---- metrics ---------------------------------------------------------
+    # ---- metrics: per-partition rows, each stage's own pass wall --------
     wall_ms = int((time.monotonic() - t0) * 1000)
+    scan_ms = int(_tm["scan"] * 1000)
+    fetch_ms = int(_tm["probe_sched_fetch"] * 1000)
     mrows = []
     for p, row in pstats.iterrows():
         mrows.append({"pass_id": pass_id, "partition_id": int(p),
                       "stage": "scan", "rows_in": int(row["scanned"]),
                       "rows_out": int(row["scheduled"]),
-                      "errors": int(row["err_gate"]), "wall_ms": wall_ms})
+                      "errors": int(row["err_gate"]), "wall_ms": scan_ms})
         mrows.append({"pass_id": pass_id, "partition_id": int(p),
                       "stage": "fetch", "rows_in": int(row["scheduled"]),
                       "rows_out": int(row["fetched"]),
                       "errors": int(row["scheduled"] - row["fetched"]),
-                      "wall_ms": wall_ms})
+                      "wall_ms": fetch_ms})
     metrics_tbl = pa.Table.from_pylist(mrows, schema=METRICS) if mrows \
         else pa.Table.from_pylist([], schema=METRICS)
     store.append_fragment("metrics", metrics_tbl, pass_id, tag="metrics")
@@ -1075,7 +1043,8 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # ---- commit (docs + lineage sinks must be durable BEFORE meta
     # commits) -------------------------------------------------------------
     docs_fut.result()
-    lineage_fut.result()
+    if lineage_fut is not None:
+        lineage_fut.result()
     pool.shutdown()
     _mark("docs_write_join")
     state.pass_id = pass_id
@@ -1105,50 +1074,11 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     }
 
 
-def _append_shape_from_pandas(df: pd.DataFrame, order_kind: int) -> pa.Table:
-    """Driver-side twin of _to_append_shape for the (bounded) deferred set."""
-    n = len(df)
-    return pa.table(
-        {
-            "partition_id": pa.array(
-                df["partition_id"].to_numpy().astype(np.int32)),
-            "url": pa.array(df["url"].tolist(), type=pa.string()),
-            "canonical_url": pa.array(df["canonical_url"].tolist(),
-                                      type=pa.string()),
-            "host": pa.array(df["host"].tolist(), type=pa.string()),
-            "url_hash": pa.array(df["url_hash"].to_numpy().astype(np.uint64)),
-            "host_hash": pa.array(df["host_hash"].to_numpy().astype(np.uint64)),
-            "priority": pa.array(df["priority"].to_numpy().astype(np.float32)),
-            "depth": pa.array(df["depth"].to_numpy().astype(np.int32)),
-            "order_kind": pa.array(np.full(n, order_kind, dtype=np.int8)),
-            "order_a": pa.array(df["rowid"].to_numpy().astype(np.int64)),
-        }
-    )
-
-
-def _to_append_shape(order_kind: int):
-    """Normalize a branch to the pre-rowid append shape with deterministic
-    ordering keys (deferred rows keep old-rowid order; links sort by URL)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        n = len(t)
-        cols = {
-            "partition_id": t.column("partition_id").cast(pa.int32()),
-            "url": t.column("url"),
-            "canonical_url": t.column("canonical_url"),
-            "host": t.column("host"),
-            "url_hash": t.column("url_hash").cast(pa.uint64()),
-            "host_hash": t.column("host_hash").cast(pa.uint64()),
-            "priority": t.column("priority").cast(pa.float32()),
-            "depth": t.column("depth").cast(pa.int32()),
-            "order_kind": pa.array(np.full(n, order_kind, dtype=np.int8)),
-            "order_a": (t.column("rowid").cast(pa.int64())
-                        if "rowid" in t.column_names
-                        else pa.array(np.zeros(n, dtype=np.int64))),
-        }
-        return pa.table(cols)
-
-    return f
+def _collect(ds) -> pa.Table | None:
+    """Zero-copy read of a materialized Dataset's blocks on the driver (no
+    extra Ray execution); None when every block is empty."""
+    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns and len(t)]
+    return pa.concat_tables(tbls) if tbls else None
 
 
 def _empty_retry() -> pa.Table:

@@ -22,6 +22,8 @@ Ray-Data re-expression:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -161,16 +163,19 @@ class FetchStage:
 _HANDLERS: dict = {}
 
 
-def make_fetch_fn(handler_ref, bulk: bool):
-    def fetch(t: pa.Table) -> pa.Table:
-        key = handler_ref.hex()
-        h = _HANDLERS.get(key)
-        if h is None:
-            h = ray.get(handler_ref)
-            h.setup({})
-            if len(_HANDLERS) > 8:
-                _HANDLERS.clear()
-            _HANDLERS[key] = h
-        return apply_fetch(h, bulk, t)
+def _fetch(handler_ref, bulk: bool, t: pa.Table) -> pa.Table:
+    key = handler_ref.hex()
+    h = _HANDLERS.get(key)
+    if h is None:
+        h = ray.get(handler_ref)
+        h.setup({})
+        if len(_HANDLERS) > 8:
+            _HANDLERS.clear()
+        _HANDLERS[key] = h
+    return apply_fetch(h, bulk, t)
 
-    return fetch
+
+def make_fetch_fn(handler_ref, bulk: bool):
+    # a partial over a module-level function pickles by reference (a
+    # closure would carry its own copy of _HANDLERS into every task)
+    return functools.partial(_fetch, handler_ref, bulk)

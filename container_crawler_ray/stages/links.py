@@ -3,11 +3,13 @@
 Link extraction is flat_map-shaped: one fetched doc → K candidate URLs.
 Implemented as vectorized ``map_batches`` over the fetch output using
 ``pyarrow.compute.list_flatten`` / ``list_parent_indices`` (zero Python in
-the explode), then a canonicalize+hash stage, a seen-set probe (drop known
-URLs before they ever hit the frontier), an exact per-pass dedup
-(``groupby(canonical_url)`` min-depth), and deterministic per-partition
-rowid assignment (the frontier is a set of independent rowid sequences —
-one per partition, exactly like the reference's per-container SQLite DBs).
+the explode), fused with a canonicalize+hash+route stage. The rest runs on
+the driver over the materialized link blocks (``run_pass``): one seen-set
+probe per pass drops known URLs, then ``assign_rowids`` does the exact
+per-pass dedup (min depth per canonical URL, a sort — no shuffle) and the
+deterministic per-partition rowid assignment (the frontier is a set of
+independent rowid sequences — one per partition, exactly like the
+reference's per-container SQLite DBs).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pyarrow.compute as pc
 
 from ..functions.canonicalize import host_of
 from ..functions.hashing import hash64_many
+from ..schemas import FRONTIER
 
 
 def explode_links(t: pa.Table) -> pa.Table:
@@ -77,47 +80,74 @@ def make_link_enrich(num_partitions: int, salted_hosts: tuple[str, ...],
     return enrich
 
 
-def make_rowid_assigner(base_rowids: dict[int, int], pass_id: int):
-    """Per-partition group fn: exact link dedup (min depth per canonical
-    URL — copies always co-locate because partition routing is a pure
-    function of the URL/host hash, so no extra shuffle is needed), then
-    deterministic append order (deferred rows by old rowid first, then new
-    links by canonical_url), rowids from the partition's checkpointed
-    counter."""
+def to_append_shape(t: pa.Table, order_kind: int) -> pa.Table:
+    """Normalize deferred rows (``order_kind`` 0, ordered by their old
+    ``rowid``) or novel links (1, ordered by URL) to the pre-rowid append
+    shape that ``assign_rowids`` consumes."""
+    n = len(t)
+    return pa.table({
+        "partition_id": t.column("partition_id").cast(pa.int32()),
+        "url": t.column("url"),
+        "canonical_url": t.column("canonical_url"),
+        "host": t.column("host"),
+        "url_hash": t.column("url_hash").cast(pa.uint64()),
+        "host_hash": t.column("host_hash").cast(pa.uint64()),
+        "priority": t.column("priority").cast(pa.float32()),
+        "depth": t.column("depth").cast(pa.int32()),
+        "order_kind": pa.array(np.full(n, order_kind, dtype=np.int8)),
+        "order_a": (t.column("rowid").cast(pa.int64())
+                    if "rowid" in t.column_names
+                    else pa.array(np.zeros(n, dtype=np.int64))),
+    })
 
-    def assign(t: pa.Table) -> pa.Table:
-        pid = int(t.column("partition_id")[0].as_py())
-        base = base_rowids.get(pid, 0)
-        kind = t.column("order_kind").to_numpy()
-        if (kind == 1).any():
-            # exact link dedup without a pandas round-trip: stable
-            # lexsort by (canonical_url, depth) picks the same
-            # min-depth / earliest-row winner the old
-            # sort_values(mergesort)+drop_duplicates pair did, as a
-            # pure index selection on the Arrow block
-            links_i = np.flatnonzero(kind == 1)
-            cu = np.asarray(t.column("canonical_url").to_numpy(
-                zero_copy_only=False))[links_i]
-            dp = t.column("depth").to_numpy()[links_i]
-            o = np.lexsort((dp, cu))
-            cs = cu[o]
-            first = np.ones(len(cs), dtype=bool)
-            first[1:] = cs[1:] != cs[:-1]
-            keep = np.sort(np.concatenate(
-                [np.flatnonzero(kind == 0), links_i[o[first]]]))
-            t = t.take(pa.array(keep))
-        order = pc.sort_indices(
-            t,
-            sort_keys=[("order_kind", "ascending"), ("order_a", "ascending"),
-                       ("canonical_url", "ascending")],
-        )
-        t = t.take(order)
-        n = len(t)
-        rowid = pa.array(np.arange(base, base + n, dtype=np.int64))
-        t = t.drop_columns(["order_kind", "order_a"])
-        t = t.append_column("rowid", rowid)
-        t = t.append_column("pass_added",
-                            pa.array(np.full(n, pass_id, dtype=np.int64)))
-        return t
 
-    return assign
+def assign_rowids(t: pa.Table, next_rowid: dict[int, int],
+                  pass_id: int) -> pa.Table:
+    """Driver-side frontier append assembly over the whole pass (deferred
+    rows + novel links in the append shape of ``to_append_shape``):
+
+    1. exact link dedup — one row per ``canonical_url`` among links
+       (``order_kind == 1``), min ``depth``, ties to the smallest raw
+       ``url``, so the kept row does not depend on block arrival order.
+       Partition routing is a pure function of the canonical URL within a
+       pass, so a global dedup equals a per-partition one;
+    2. deterministic append order per partition: deferred rows by old
+       rowid first, then links by ``canonical_url``;
+    3. dense rowids from each partition's ``next_rowid`` counter, which is
+       advanced in place.
+
+    Returns FRONTIER rows sorted by (partition_id, rowid)."""
+    kind = t.column("order_kind").to_numpy()
+    links_i = np.flatnonzero(kind == 1)
+    if len(links_i):
+        lk = t.select(["canonical_url", "depth", "url"]).take(links_i)
+        o = pc.sort_indices(lk, sort_keys=[("canonical_url", "ascending"),
+                                           ("depth", "ascending"),
+                                           ("url", "ascending")]).to_numpy()
+        cs = lk.column("canonical_url").take(o)
+        first = np.ones(len(o), dtype=bool)
+        first[1:] = pc.not_equal(cs[1:], cs[:-1]).to_numpy(
+            zero_copy_only=False)
+        keep = np.sort(np.concatenate(
+            [np.flatnonzero(kind != 1), links_i[o[first]]]))
+        t = t.take(keep)
+    t = t.take(pc.sort_indices(
+        t, sort_keys=[("partition_id", "ascending"),
+                      ("order_kind", "ascending"),
+                      ("order_a", "ascending"),
+                      ("canonical_url", "ascending")]))
+    pid = t.column("partition_id").to_numpy()
+    parts, start, count = np.unique(pid, return_index=True,
+                                    return_counts=True)
+    base = np.array([next_rowid.get(int(p), 0) for p in parts],
+                    dtype=np.int64)
+    rowid = (np.arange(len(t), dtype=np.int64)
+             + np.repeat(base - start, count))
+    for p, b, c in zip(parts, base, count):
+        next_rowid[int(p)] = int(b + c)
+    n = len(t)
+    return (t.drop_columns(["order_kind", "order_a"])
+            .append_column("pass_added",
+                           pa.array(np.full(n, pass_id, dtype=np.int64)))
+            .append_column("rowid", pa.array(rowid))
+            .select(FRONTIER.names))

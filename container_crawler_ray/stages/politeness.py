@@ -121,19 +121,3 @@ def _allowed(rules: list[dict], path: str) -> bool:
             return bool(r["allow"])
     return True
 
-
-def bucket_updates(robots: dict, buckets: dict, host_scheduled: dict[str, int],
-                   pass_time_ms: float, capacity_factor: float) -> dict:
-    """Driver-side bucket residual update from per-host scheduled counts —
-    recomputes the same avail/budget arithmetic as the group fn (the group
-    fn is pure; state mutation stays on the driver, checkpointable)."""
-    out = dict(buckets)
-    for host, m in host_scheduled.items():
-        rb = robots.get(host)
-        delay_ms = rb["crawl_delay_ms"] if rb else 1000
-        rate = pass_time_ms / max(1.0, float(delay_ms))
-        cap = max(1.0, capacity_factor * rate)
-        stored = buckets.get(host, cap)
-        avail = min(cap, stored + rate)
-        out[host] = avail - m
-    return out

@@ -1,18 +1,13 @@
-"""Seen-set probe/mark stages (J1/M4 in SURVEY.md §2) — approximate
-anti-join against the sharded cuckoo filter.
+"""Seen-set probe stage (J1 in SURVEY.md §2) — approximate anti-join
+against the sharded cuckoo filter.
 
-Two stages, both ``map_batches`` callable classes (actor pool) so the
-``SeenSet`` client (named-actor handles) is resolved once per actor, not
-once per batch:
-
-- ``SeenProbeStage``: read-only ``contains`` probe. Adds two columns:
-  ``seen`` (membership) and updates ownership-derived tags. Runs BEFORE
-  politeness so budget is not wasted on duplicates. Read-only → no ordering
-  race between concurrent batches.
-- ``SeenMarkStage``: ``contains_add`` for rows the politeness stage actually
-  scheduled (scan branch only; retry rows were marked on their original
-  schedule). Runs after selection so deferred rows stay unseen and are
-  re-queued. Set-insert is idempotent → safe under Ray task retries.
+``make_probe_fn`` is the candidate probe of ``run_pass``: a read-only
+``contains`` that appends a ``seen`` column, run BEFORE politeness so budget
+is not wasted on duplicates (read-only → no ordering race between
+concurrent batches). Seen marks are not a stage: ``run_pass``
+write-ahead-logs the scheduled hashes and applies them from a driver
+thread, and it probes the pass's discovered links on the driver, once per
+pass.
 
 The verification branch (M4, reference verify_items [recon:
 ``container_crawler/__init__.py:≈265–275``]): rows NOT owned by this
@@ -22,16 +17,16 @@ watermark gating, mirroring verify failures in the reference.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 from ..state.seen import SeenSet
 
-
-# Worker-process-level client cache: plain map_batches FUNCTIONS resolve
-# their SeenSet once per (run, worker process) and Ray's long-lived worker
-# pool amortizes it across passes — no per-pass actor-pool spin-up. The
-# Stage classes below remain for callers who want an explicit actor pool.
+# Worker-process-level client cache: the mapped function resolves its
+# SeenSet once per (run, worker process) and Ray's long-lived worker pool
+# amortizes it across passes — no per-pass actor-pool spin-up.
 _CLIENTS: dict[tuple, SeenSet] = {}
 
 
@@ -43,49 +38,13 @@ def _client(seen_args: tuple) -> SeenSet:
     return c
 
 
+def _probe(seen_args: tuple, t: pa.Table) -> pa.Table:
+    hashes = t.column("url_hash").to_numpy().astype(np.uint64)
+    seen = _client(seen_args).contains(hashes)
+    return t.append_column("seen", pa.array(seen))
+
+
 def make_probe_fn(seen_args: tuple):
-    def probe(t: pa.Table) -> pa.Table:
-        hashes = t.column("url_hash").to_numpy().astype(np.uint64)
-        seen = _client(seen_args).contains(hashes)
-        return t.append_column("seen", pa.array(seen))
-
-    return probe
-
-
-def make_mark_fn(seen_args: tuple):
-    def mark(t: pa.Table) -> pa.Table:
-        sched = np.asarray(t.column("sched").to_pylist())
-        src = np.asarray(t.column("src").to_pylist())
-        m = (sched == "scheduled") & (src == "scan")
-        if m.any():
-            hashes = t.column("url_hash").to_numpy().astype(np.uint64)[m]
-            _client(seen_args).contains_add(hashes)
-        return t
-
-    return mark
-
-
-class SeenProbeStage:
-    def __init__(self, run_id: str, num_shards: int,
-                 cuckoo_capacity: int, bloom_bits: int):
-        self.seen = SeenSet(run_id, num_shards, cuckoo_capacity, bloom_bits)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        hashes = t.column("url_hash").to_numpy().astype(np.uint64)
-        seen = self.seen.contains(hashes)
-        return t.append_column("seen", pa.array(seen))
-
-
-class SeenMarkStage:
-    def __init__(self, run_id: str, num_shards: int,
-                 cuckoo_capacity: int, bloom_bits: int):
-        self.seen = SeenSet(run_id, num_shards, cuckoo_capacity, bloom_bits)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        sched = np.asarray(t.column("sched").to_pylist())
-        src = np.asarray(t.column("src").to_pylist())
-        mark = (sched == "scheduled") & (src == "scan")
-        if mark.any():
-            hashes = t.column("url_hash").to_numpy().astype(np.uint64)[mark]
-            self.seen.contains_add(hashes)
-        return t
+    # a partial over a module-level function pickles by reference, so
+    # every task in a worker process shares the module's _CLIENTS
+    return functools.partial(_probe, seen_args)

@@ -3,9 +3,10 @@
 Reference semantics [recon: ``container_crawler/__init__.py:≈230–245``]:
 ``broker.get_items_since(last_row, items_chunk)`` — rows with
 ``ROWID > watermark`` in ROWID order, at most ``items_chunk`` per partition
-per pass. Here: a vectorized per-batch watermark filter (the per-partition
-watermark vector is tiny and broadcast by closure capture) followed by a
-per-partition sort+slice inside ``groupby(partition_id).map_groups``.
+per pass. Here: one vectorized per-batch filter on the rowid window
+``(watermark, watermark + items_chunk]`` (the per-partition watermark
+vector is tiny and broadcast by closure capture) — no sort, no groupby,
+because per-partition rowids are dense.
 
 At 100 TB scale the filter is additionally pushed into the parquet read
 (``read_parquet(filter=rowid > min(watermarks))`` prunes whole row groups;
@@ -42,12 +43,3 @@ def make_watermark_filter(watermarks: dict[int, int], num_partitions: int,
 
     return wm_filter
 
-
-def make_chunk_fn(items_chunk: int):
-    """Per-partition group fn: ROWID order, first `items_chunk` rows."""
-
-    def chunk(t: pa.Table) -> pa.Table:
-        t = t.sort_by("rowid")
-        return t.slice(0, items_chunk)
-
-    return chunk

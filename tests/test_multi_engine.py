@@ -535,7 +535,7 @@ def test_wal_rollback_protects_foreign_dup_marks(tmp_store):
     st0.seen.teardown()
 
 
-def test_stalled_engine_pins_mark_wal_retention(tmp_store):
+def test_stalled_engine_pins_mark_wal_retention(tmp_store, caplog):
     """Round-5 guard (ADVICE r4, medium): mark-WAL GC is anchored to the
     MINIMUM commit frontier across all engines, not each engine's own
     pass — a crashed engine can resume arbitrarily later, and the
@@ -579,8 +579,14 @@ def test_stalled_engine_pins_mark_wal_retention(tmp_store):
 
     # engine 0 stalls; engine 1 commits KEEP+2 more passes (each pass
     # runs the mark-WAL GC in _write_state_fragments)
-    for _ in range(_MARK_WAL_KEEP + 2):
-        run_pass(s1, cfg1, st1)
+    with caplog.at_level("WARNING", logger="container_crawler_ray.crawl"):
+        for _ in range(_MARK_WAL_KEEP + 2):
+            run_pass(s1, cfg1, st1)
+    pinned = [r.getMessage() for r in caplog.records
+              if "mark-WAL retention pinned" in r.getMessage()]
+    assert pinned and all("engine 0 committed pass 1" in m
+                          for m in pinned), \
+        "a lagging engine that pins WAL retention must be named"
     assert st1.pass_id - wal_pass > _MARK_WAL_KEEP, \
         "engine 1 must outrun the per-engine retention window"
     assert wal_pass in store.list_fragment_passes(

@@ -769,3 +769,27 @@ def test_mmr_diversity_property(ray_session):
         <= mean_pair_sim(pure["vec_id"]) + 1e-12
     # lam=1000 degenerates to pure query-sim order
     assert (np.diff(pure["sim_bp"].to_numpy()) <= 0).all()
+
+
+def test_top_tokens_sketch_short_sketch_falls_back(tmp_path):
+    """When the merged sketch keeps fewer than topn tokens, pruned tail
+    tokens may still belong to the exact top-N, so the op must take the
+    exact path. Corpus: 40 hot tokens x20 plus 1000 singletons at
+    mg_capacity=100 — the sketch keeps only the 40 hot tokens, yet its
+    40th count (19) clears eps (17)."""
+    hot = [f"hot{i:02d}" for i in range(40)]
+    single = [f"s{i:04d}" for i in range(1000)]
+    texts = [" ".join(hot)] * 20 + [" ".join(single[i:i + 10])
+                                    for i in range(0, 1000, 10)]
+    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64),
+                       "text": texts})
+    d = tmp_path / "sf"
+    d.mkdir()
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                   str(d / "documents.parquet"))
+    from container_crawler_ray.pipelines.analytics import (
+        top_tokens, top_tokens_sketch)
+    exact = top_tokens(str(d))
+    assert len(exact) == 50
+    sk = top_tokens_sketch(str(d), mg_capacity=100)
+    pd.testing.assert_frame_equal(exact, sk)

@@ -156,6 +156,35 @@ def test_items_chunk_limits_scan(tmp_store):
     # rowid order: the five lowest rowids were scanned
     wm = _wm(tmp_store)
     assert max(wm.values()) == 4
+    # the metrics table carries each stage's own wall, not the pass wall
+    m = store.read_fragment("metrics", "metrics", s["pass_id"]).to_pylist()
+    walls = {r["stage"]: r["wall_ms"] for r in m}
+    assert set(walls) == {"scan", "fetch"}
+    assert all(w <= s["wall_ms"] for w in walls.values())
+    assert walls["scan"] != walls["fetch"]
+
+
+def test_link_path_probes_seen_set_once_per_pass(tmp_store, monkeypatch):
+    """The discovered links of a pass are probed on the driver with one
+    SeenSet.contains call (one RPC per shard); the candidate probe runs
+    in Ray workers and is not counted here."""
+    from container_crawler_ray.state.seen import SeenSet
+
+    calls = []
+    orig = SeenSet.contains
+
+    def counting(self, hashes):
+        calls.append(len(hashes))
+        return orig(self, hashes)
+
+    monkeypatch.setattr(SeenSet, "contains", counting)
+    cfg = CrawlConfig(**BASE, fail_mod=0)
+    store, state = init_run(tmp_store, cfg, make_seed_urls(60, n_hosts=20))
+    for _ in range(2):
+        s = run_pass(store, cfg, state)
+        assert s["fetched"] > 0
+    assert len(calls) == 2 and all(n > 0 for n in calls)
+    state.seen.teardown()
 
 
 def test_unicode_urls_roundtrip(tmp_store):
