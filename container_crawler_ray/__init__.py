@@ -12,8 +12,8 @@ citations are spec-level, e.g. ``container_crawler/__init__.py:≈250–270``
 - retry / error verification queue with watermark gating (all-or-nothing
   per chunk),
 - a sharded cuckoo-filter URL-seen set with a bloom spill tier,
-- per-host politeness (token bucket + robots rules) via groupby(host)
-  shuffles,
+- per-host politeness (token bucket + robots rules) scheduled on the
+  driver over each pass's bounded, host-sorted candidate table,
 - streaming ``map_batches`` fetch stages over zero-copy Arrow,
 - checkpoint/resume from atomic parquet tables (Lance-compatible layout).
 

@@ -4,30 +4,35 @@ the reference's poll-pass structure [recon:
 ``container_crawler/__init__.py:≈100–330`` run_always/run_once/
 handle_container/process_items].
 
-Per-pass dataflow (each box a Ray Data stage; candidates are bounded by
+Per-pass dataflow. Candidates are bounded by
 ``num_partitions × items_chunk + |retry|`` — the reference's micro-batch
-invariant — so per-pass materializations are bounded regardless of
-frontier size):
+invariant — so every per-pass table is bounded regardless of frontier size,
+and the pass runs no shuffle and no repartition:
 
     read_parquet(frontier fragments, filter=rowid > min(wm))
       → map_batches(watermark WINDOW filter, vectorized)       [S1/O3]
         (= sort+head(chunk), shuffle-free: per-partition rowids are dense)
-      → union(retry re-injections)                                [J3]
-      → map_batches(mod-ownership tag)                            [M1]
-      → map_batches(seen probe, per-worker cached shard clients)  [J1]
-      → groupby(host_hash).map_groups(politeness/robots/top-k) [O1/T6/J2/M5]
-        (the ONE per-pass shuffle — the priority-frontier exchange)
-      → mark-WAL append + bulk seen mark (scheduled scan rows;
-        write-ahead-logged so a mid-pass kill rolls back exactly)   [T5]
+      → blocks read zero-copy on the driver
+    driver, over those scan rows and the retry re-injections     [J3]:
+      mod-ownership tag (numpy)                                   [M1]
+      ONE seen probe (one RPC per shard)                          [J1]
+      schedule_table: dedup, robots, per-host token-bucket top-k
+        over the host-sorted table (the priority-frontier
+        semantics, without the exchange)                  [O1/T6/J2/M5]
+      mark-WAL append + bulk seen mark of the scheduled scan rows
+        (write-ahead-logged so a mid-pass kill rolls back exactly;
+        on a driver thread, overlapped with the fetch)             [T5]
+    uniform driver slices of the scheduled rows only
       → map_batches(fetch: actor pool or elastic tasks)      [T1/M2/M3]
-      → materialize (the bounded pass result)
+      → materialize
 
-then derived branches over the materialized result:
+then derived branches over the fetch result:
 
     documents sink (streaming parquet write)
     filter(ok) → explode links → canonicalize/hash/route   [one fused task
       per fetch block] → blocks read zero-copy on the driver
-    driver, over those link rows and the deferred rows:
+    driver, over those link rows, the deferred rows and the unscheduled
+    candidates (appended to the fetched rows as not fetched):
       lineage sink (one file per pass, on a driver thread)
       ONE seen probe per pass (one RPC per shard)            [J1]
       → own/foreign split (foreign links post to the owning
@@ -69,13 +74,12 @@ from ..sources import synth
 from ..stages.fetch import FetchStage, SimulatedFetchHandler
 from ..stages.links import (assign_rowids, explode_links, make_link_enrich,
                             to_append_shape)
-from ..stages.politeness import make_schedule_fn
-from ..stages.probe import make_probe_fn
+from ..stages.politeness import schedule_table
 from ..stages.scan import make_watermark_filter
 from ..state.seen import SeenSet
 from ..storage import TableStore
 
-CAND_COLS = [f.name for f in RETRY] + ["src"]
+CAND_SCHEMA = pa.schema(list(RETRY) + [("src", pa.string())])
 
 _LOG = __import__("logging").getLogger("container_crawler_ray.crawl")
 
@@ -589,27 +593,13 @@ def _prune_consumed_fragments(store: TableStore, files: list[str],
 
 
 # --------------------------------------------------------------------- pass
-def _add_cand_cols(src: str):
-    def f(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if "attempts" not in t.column_names:
-            t = t.append_column("attempts",
-                                pa.array(np.zeros(n, dtype=np.int32)))
-            t = t.append_column("last_error",
-                                pa.array([""] * n, type=pa.string()))
-        t = t.append_column("src", pa.array([src] * n, type=pa.string()))
-        return t.select(CAND_COLS)
-
-    return f
-
-
-def _make_owned_fn(num_nodes: int, node_id: int):
-    def f(t: pa.Table) -> pa.Table:
-        rowid = t.column("rowid").to_numpy()
-        owned = (rowid % num_nodes) == node_id
-        return t.append_column("owned", pa.array(owned))
-
-    return f
+def _add_cand_cols(t: pa.Table, src: str) -> pa.Table:
+    n = len(t)
+    if "attempts" not in t.column_names:
+        t = t.append_column("attempts", pa.array(np.zeros(n, dtype=np.int32)))
+        t = t.append_column("last_error", pa.array([""] * n, type=pa.string()))
+    t = t.append_column("src", pa.array([src] * n, type=pa.string()))
+    return t.select(CAND_SCHEMA.names).cast(CAND_SCHEMA)
 
 
 _OWN_TAGS = ("scheduled", "deferred", "disallowed", "skipped_host", "dup", "seen")
@@ -618,7 +608,8 @@ _OWN_TAGS = ("scheduled", "deferred", "disallowed", "skipped_host", "dup", "seen
 def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
              robots_ref=None, handler=None) -> dict:
     """Execute one crawl pass; returns pass stats. Mutates *state* and
-    commits it durably (meta.json last)."""
+    commits it durably (meta.json last). *robots_ref* is accepted for
+    caller compatibility only: the schedule reads ``state.robots``."""
     t0 = time.monotonic()
     _tm: dict[str, float] = {}
     _last = [t0]
@@ -630,15 +621,11 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
 
     pass_id = state.pass_id + 1
     _purge_torn_pass(store, cfg, pass_id)
-    if robots_ref is None:
-        robots_ref = ray.put(state.robots)
     if handler is None:
         handler = SimulatedFetchHandler(cfg.n_hosts, cfg.n_paths, cfg.fail_mod,
                                         cfg.parse_cost_bytes)
-    seen_args = (state.seen.run_id, cfg.seen_shards, cfg.cuckoo_capacity,
-                 cfg.bloom_bits)
 
-    # ---- scan + retry union → bounded candidate set ----------------------
+    # ---- scan + retry → one bounded candidate table on the driver --------
     if cfg.num_engines > 1:
         _drain_mailboxes(store, cfg, state, pass_id)
         frontier_files = _committed_frontier_files(store, cfg, state)
@@ -665,22 +652,21 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
 
     pieces = []
     if frontier_files:
-        # backend-pluggable distributed scan with rowid predicate pushdown
-        ds = store.ray_read(frontier_files,
-                            filter=pc.field("rowid") > pa.scalar(min_wm))
+        # backend-pluggable distributed scan with rowid predicate pushdown;
         # window filter = sort-by-rowid + head(items_chunk), shuffle-free
         # (per-partition rowids are dense — see make_watermark_filter)
-        scan = ds.map_batches(
+        scan = _collect(store.ray_read(
+            frontier_files, filter=pc.field("rowid") > pa.scalar(min_wm),
+        ).map_batches(
             make_watermark_filter(wm_for_filter, cfg.num_partitions,
                                   cfg.items_chunk),
             batch_format="pyarrow",
-        )
-        pieces.append(scan.map_batches(_add_cand_cols("scan"),
-                                       batch_format="pyarrow"))
+        ))
+        if scan is not None:
+            pieces.append(_add_cand_cols(scan, "scan"))
     retry_tbl = store.read_fragment("retry", _etag(cfg, "retry"),
                                     state.pass_id)
     n_dead = 0
-    retry_live = _empty_retry()
     if retry_tbl is not None and len(retry_tbl):
         retry_live = retry_tbl.filter(
             pc.less(retry_tbl.column("attempts"), cfg.max_attempts))
@@ -690,61 +676,41 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                 pc.greater_equal(retry_tbl.column("attempts"), cfg.max_attempts))
             store.append_fragment("dead_letter", dead, pass_id, tag="dead")
         if len(retry_live):
-            rds = ray.data.from_arrow(retry_live)
-            pieces.append(rds.map_batches(_add_cand_cols("retry"),
-                                          batch_format="pyarrow"))
-    if not pieces:
-        return _finalize_empty_pass(store, cfg, state, pass_id, t0, n_dead)
-    cand = pieces[0]
-    for p in pieces[1:]:
-        cand = cand.union(p)
-    cand = cand.materialize()
-    n_cand = cand.count()
+            pieces.append(_add_cand_cols(retry_live, "retry"))
+    n_cand = sum(len(t) for t in pieces)
     _mark("scan")
     if n_cand == 0:
         return _finalize_empty_pass(store, cfg, state, pass_id, t0, n_dead)
 
     # ---- tag → probe → politeness → mark-WAL → mark → fetch --------------
-    buckets_ref = ray.put(state.buckets)
-    pipe = cand.map_batches(_make_owned_fn(cfg.num_nodes, cfg.node_id),
-                            batch_format="pyarrow")
-    # probe is a plain task function with a per-worker-process client
-    # cache (stages/probe.py): Ray's long-lived workers amortize the
-    # named-actor lookups across passes, with no per-pass pool spin-up
-    pipe = pipe.map_batches(make_probe_fn(seen_args), batch_format="pyarrow")
-    pipe = pipe.groupby("host_hash").map_groups(
-        make_schedule_fn(robots_ref, buckets_ref, cfg.pass_time_ms,
-                         cfg.bucket_capacity_factor),
-        batch_format="pyarrow",
-    )
-    # Seen marks are WRITE-AHEAD-LOGGED then bulk-applied from the driver
-    # — not an inline pipeline stage. The politeness groupby is already a
-    # barrier and the scheduled set is bounded (P×items_chunk+|retry|),
-    # so the extra materialize is cheap; in exchange, a crash at ANY
-    # point after the first mark leaves a durable record of exactly
-    # which hashes were (about to be) marked, and the resume path
-    # deletes exactly them from the shared shards — closing the old
-    # caveat where a mid-pass engine crash left uncommitted marks on
-    # shared shards and its replayed rows were dropped as "seen" (lost
-    # docs). Bulk driver apply also removes per-batch shard RPCs from
-    # the fetch path. WAL-then-mark runs on a DRIVER THREAD overlapped
-    # with the fetch stage: nothing in the fetch path reads the seen
-    # set, and the one consumer that does (the driver's discovered-link
-    # probe) only runs after the thread has been joined. The WAL write
-    # strictly precedes the first contains_add inside the thread,
-    # preserving the crash invariant.
-    pipe = pipe.materialize()
+    # the candidate set is bounded (P×items_chunk+|retry|), so it is
+    # tagged on the driver: mod-ownership, ONE seen probe (one RPC per
+    # shard) and one vectorized schedule over the host-sorted table
+    cand = pa.concat_tables(pieces)
+    uh = cand.column("url_hash").to_numpy()
+    cand = cand.append_column("owned", pa.array(
+        cand.column("rowid").to_numpy() % cfg.num_nodes == cfg.node_id))
+    cand = cand.append_column("seen", pa.array(state.seen.contains(uh)))
+    cand = schedule_table(cand, state.robots, state.buckets,
+                          cfg.pass_time_ms, cfg.bucket_capacity_factor)
+    sched_m = pc.equal(cand.column("sched"), "scheduled").to_numpy(
+        zero_copy_only=False)
+    scan_m = pc.equal(cand.column("src"), "scan").to_numpy(
+        zero_copy_only=False)
+    sched_hashes = uh[sched_m & scan_m]
 
+    # Seen marks are WRITE-AHEAD-LOGGED then bulk-applied from the driver
+    # — not a pipeline stage. A crash at ANY point after the first mark
+    # leaves a durable record of exactly which hashes were (about to be)
+    # marked, and the resume path deletes exactly them from the shared
+    # shards, so a mid-pass engine crash cannot leave uncommitted marks
+    # behind that would drop its replayed rows as "seen" (lost docs).
+    # WAL-then-mark runs on a DRIVER THREAD overlapped with the fetch:
+    # nothing in the fetch path reads the seen set, and the one consumer
+    # that does (the driver's discovered-link probe) only runs after the
+    # thread has been joined. The WAL write strictly precedes the first
+    # contains_add inside the thread, preserving the crash invariant.
     def _wal_and_mark():
-        sched_hashes = np.concatenate([
-            b.column("url_hash").to_numpy().astype(np.uint64)[
-                (pc.equal(b.column("sched"), "scheduled").to_numpy(
-                    zero_copy_only=False))
-                & (pc.equal(b.column("src"), "scan").to_numpy(
-                    zero_copy_only=False))]
-            for b in pipe.iter_batches(batch_format="pyarrow",
-                                       batch_size=None)] or
-            [np.zeros(0, dtype=np.uint64)])
         store.append_fragment(
             "marks", pa.table({"url_hash": pa.array(sched_hashes)}),
             pass_id, tag=_etag(cfg, "marks"))
@@ -753,33 +719,37 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     from concurrent.futures import ThreadPoolExecutor as _TPE
     _mark_pool = _TPE(max_workers=1)
     mark_fut = _mark_pool.submit(_wal_and_mark)
-    # Even out the post-shuffle blocks before fetch: the politeness groupby
-    # emits one block per host group, so a hot host (Zipf head) would ride
-    # into fetch as ONE straggler task. repartition splits the bounded
-    # candidate set into uniform blocks and breaks operator fusion with the
-    # group tasks — this is the explicit hot-host skew handling for the
-    # fetch stage (SURVEY.md §4.1). Block count adapts to the candidate
-    # count: fetch task granularity IS block granularity, and coarse blocks
-    # quantize the stage into straggler-sensitive waves.
-    n_blocks = int(np.clip(n_cand // 400, cfg.workers * 2, 1024))
-    pipe = pipe.repartition(n_blocks)
-    fetch_kwargs = dict(
-        batch_size=None if cfg.bulk_process else cfg.fetch_batch_size,
-        batch_format="pyarrow",
-    )
-    if cfg.fetch_mode == "tasks":
-        # elastic stateless tasks + per-worker handler cache
-        from ..stages.fetch import make_fetch_fn
-        handler_ref = ray.put(handler)
-        result = pipe.map_batches(
-            make_fetch_fn(handler_ref, cfg.bulk_process), **fetch_kwargs
-        ).materialize()
-    else:
-        # actor pool (autoscaling 1..workers so upstream stages never starve)
-        result = pipe.map_batches(
-            FetchStage, fn_constructor_args=(handler, cfg.bulk_process),
-            concurrency=(1, cfg.workers), **fetch_kwargs,
-        ).materialize()
+    # Only the scheduled rows are fetched, dispatched as uniform driver
+    # slices: a hot host (Zipf head) spreads over many blocks instead of
+    # riding into fetch as one straggler task (SURVEY.md §4.1). Block
+    # count adapts to the row count: fetch task granularity IS block
+    # granularity, and coarse blocks quantize the stage into
+    # straggler-sensitive waves.
+    todo = cand.filter(pa.array(sched_m))
+    result = None
+    if len(todo):
+        n_blocks = min(len(todo), int(np.clip(len(todo) // 400,
+                                              cfg.workers * 2, 1024)))
+        bounds = np.linspace(0, len(todo), n_blocks + 1).astype(np.int64)
+        fetch_in = ray.data.from_arrow(
+            [todo.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])])
+        fetch_kwargs = dict(
+            batch_size=None if cfg.bulk_process else cfg.fetch_batch_size,
+            batch_format="pyarrow",
+        )
+        if cfg.fetch_mode == "tasks":
+            # elastic stateless tasks + per-worker handler cache
+            from ..stages.fetch import make_fetch_fn
+            handler_ref = ray.put(handler)
+            result = fetch_in.map_batches(
+                make_fetch_fn(handler_ref, cfg.bulk_process), **fetch_kwargs
+            ).materialize()
+        else:
+            # actor pool (autoscaling 1..workers)
+            result = fetch_in.map_batches(
+                FetchStage, fn_constructor_args=(handler, cfg.bulk_process),
+                concurrency=(1, cfg.workers), **fetch_kwargs,
+            ).materialize()
     # marks must be durable + applied before anything probes the seen
     # set (the link branch below); in practice the thread finished long
     # before the fetch did
@@ -787,18 +757,21 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     _mark_pool.shutdown()
     _mark("probe_sched_fetch")
 
-    # ---- three independent consumers of the materialized result run
+    # ---- three independent consumers of the fetch result run
     # CONCURRENTLY (separate Dataset executions on driver threads):
     #   A. documents sink (streaming parquet write)
     #   B. link explosion — feeds the lineage write and frontier append
     #   C. slim driver-side collection for all small derivations
     # Everything except the heavy payload columns (spans/links) comes back
-    # in one execution; candidates are bounded by P×items_chunk+|retry|
-    # (the reference's micro-batch invariant), so C is a bounded,
-    # vectorized driver step — not a driver loop over the dataset.
+    # zero-copy; candidates are bounded by P×items_chunk+|retry| (the
+    # reference's micro-batch invariant), so C is a bounded, vectorized
+    # driver step — not a driver loop over the dataset.
     from concurrent.futures import ThreadPoolExecutor
 
     def _docs_branch():
+        d = store.pass_dir("documents", pass_id, tag=_etag(cfg, "pass"))
+        if result is None:
+            return
         docs = result.map_batches(
             lambda t: t.filter(t.column("ok")), batch_format="pyarrow")
         doc_cols = docs.map_batches(
@@ -814,14 +787,15 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             ),
             batch_format="pyarrow",
         )
-        doc_cols.write_parquet(store.pass_dir("documents", pass_id,
-                                              tag=_etag(cfg, "pass")))
+        doc_cols.write_parquet(d)
 
     def _flat_branch():
         # explode + canonicalize/hash/route fuse into ONE task per fetch
         # block, overlapped with the driver's slim processing; the blocks
         # come back to the driver, where the seen probe runs, so lineage
         # records every extracted edge
+        if result is None:
+            return None
         return _collect(
             result.map_batches(lambda t: t.filter(t.column("ok")),
                                batch_format="pyarrow")
@@ -851,8 +825,15 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     pool = ThreadPoolExecutor(max_workers=3)
     docs_fut = pool.submit(_docs_branch)
     flat_fut = pool.submit(_flat_branch)
-    # drop the payload columns before the pandas conversion
-    slim_tbl = _collect(result).drop_columns(["spans", "links"])
+    # fetched rows without the payload columns, then every unscheduled
+    # row (never dispatched) as not fetched
+    rest = cand.filter(pa.array(~sched_m))
+    rest = (rest.append_column("ok", pa.array(np.zeros(len(rest), bool)))
+            .append_column("error", pa.array([""] * len(rest), pa.string()))
+            .append_column("doc_id", pa.array([""] * len(rest), pa.string())))
+    fetched = _collect(result) if result is not None else None
+    slim_tbl = rest if fetched is None else pa.concat_tables(
+        [fetched.drop_columns(["spans", "links"]), rest])
     slim = slim_tbl.to_pandas()
     _mark("slim_collect")
     is_scan = (slim["src"] == "scan").to_numpy()
@@ -917,6 +898,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # it is only joined right before the commit point below) ---------------
     n_fetched = int(pstats["fetched"].sum()) if len(pstats) else 0
     novel = flat_fut.result()
+    n_links = 0 if novel is None else len(novel)
     lineage_fut = None
     if novel is not None:
         lineage_fut = pool.submit(_lineage_branch, novel)
@@ -926,6 +908,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         novel = novel.filter(pa.array(~state.seen.contains(
             novel.column("url_hash").to_numpy())))
     _mark("links")
+    n_novel = 0 if novel is None else len(novel)
 
     # ---- frontier append: deferred re-queue (advanced partitions only)
     # + novel links, rowids assigned on the driver ----------------------
@@ -950,6 +933,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         append_pieces.append(
             to_append_shape(novel.filter(pa.array(owner == me)), 1))
     n_new_links = 0
+    n_append_in = sum(len(x) for x in append_pieces)
     if append_pieces:
         frag = assign_rowids(pa.concat_tables(append_pieces),
                              state.next_rowid, pass_id)
@@ -1021,25 +1005,6 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     ) if keep_m.any() else _empty_retry()
     _mark("retry")
 
-    # ---- metrics: per-partition rows, each stage's own pass wall --------
-    wall_ms = int((time.monotonic() - t0) * 1000)
-    scan_ms = int(_tm["scan"] * 1000)
-    fetch_ms = int(_tm["probe_sched_fetch"] * 1000)
-    mrows = []
-    for p, row in pstats.iterrows():
-        mrows.append({"pass_id": pass_id, "partition_id": int(p),
-                      "stage": "scan", "rows_in": int(row["scanned"]),
-                      "rows_out": int(row["scheduled"]),
-                      "errors": int(row["err_gate"]), "wall_ms": scan_ms})
-        mrows.append({"pass_id": pass_id, "partition_id": int(p),
-                      "stage": "fetch", "rows_in": int(row["scheduled"]),
-                      "rows_out": int(row["fetched"]),
-                      "errors": int(row["scheduled"] - row["fetched"]),
-                      "wall_ms": fetch_ms})
-    metrics_tbl = pa.Table.from_pylist(mrows, schema=METRICS) if mrows \
-        else pa.Table.from_pylist([], schema=METRICS)
-    store.append_fragment("metrics", metrics_tbl, pass_id, tag="metrics")
-
     # ---- commit (docs + lineage sinks must be durable BEFORE meta
     # commits) -------------------------------------------------------------
     docs_fut.result()
@@ -1047,6 +1012,37 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         lineage_fut.result()
     pool.shutdown()
     _mark("docs_write_join")
+
+    # ---- metrics: per-partition scan/fetch rows plus one row per stage
+    # (partition_id -1), each with its own wall; written before the state
+    # fragments, so a torn pass purges it ---------------------------------
+    wall_ms = int((time.monotonic() - t0) * 1000)
+    n_sched = int(pstats["scheduled"].sum()) if len(pstats) else 0
+    mrows = []
+    for p, row in pstats.iterrows():
+        mrows.append({"pass_id": pass_id, "partition_id": int(p),
+                      "stage": "scan", "rows_in": int(row["scanned"]),
+                      "rows_out": int(row["scheduled"]),
+                      "errors": int(row["err_gate"]),
+                      "wall_ms": int(_tm["scan"] * 1000)})
+        mrows.append({"pass_id": pass_id, "partition_id": int(p),
+                      "stage": "fetch", "rows_in": int(row["scheduled"]),
+                      "rows_out": int(row["fetched"]),
+                      "errors": int(row["scheduled"] - row["fetched"]),
+                      "wall_ms": int(_tm["probe_sched_fetch"] * 1000)})
+    counts = {"scan": (0, n_cand, 0),
+              "probe_sched_fetch": (n_cand, n_fetched, n_sched - n_fetched),
+              "slim_collect": (n_cand, len(slim), 0),
+              "links": (n_links, n_novel, 0),
+              "frontier_append": (n_append_in, n_new_links, 0),
+              "retry": (n_cand, len(retry_next), 0)}
+    for stage, sec in _tm.items():
+        r_in, r_out, err = counts.get(stage, (0, 0, 0))
+        mrows.append({"pass_id": pass_id, "partition_id": -1,
+                      "stage": stage, "rows_in": r_in, "rows_out": r_out,
+                      "errors": err, "wall_ms": int(sec * 1000)})
+    store.append_fragment("metrics", pa.Table.from_pylist(mrows, schema=METRICS),
+                          pass_id, tag="metrics")
     state.pass_id = pass_id
     _write_state_fragments(store, cfg, state, retry_tbl=retry_next)
     store.write_meta({"pass_id": pass_id,
@@ -1055,7 +1051,6 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                       "salted_hosts": sorted(state.salted_hosts)},
                      name=_meta_name(cfg))
     _mark("checkpoint")
-    n_sched = int(pstats["scheduled"].sum()) if len(pstats) else 0
     return {
         "pass_id": pass_id,
         "candidates": n_cand,
@@ -1075,9 +1070,12 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
 
 
 def _collect(ds) -> pa.Table | None:
-    """Zero-copy read of a materialized Dataset's blocks on the driver (no
-    extra Ray execution); None when every block is empty."""
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns and len(t)]
+    """Zero-copy read of a Dataset's blocks on the driver; None when every
+    block is empty. Materializing first (a no-op on a materialized one)
+    gives ``to_arrow_refs`` the schema from block metadata — on a lazy
+    Dataset it re-runs the plan under ``limit(1)`` to learn it."""
+    tbls = [t for t in ray.get(ds.materialize().to_arrow_refs())
+            if t.num_columns and len(t)]
     return pa.concat_tables(tbls) if tbls else None
 
 
@@ -1124,13 +1122,11 @@ def run_crawl(root: str, cfg: CrawlConfig, seed_urls: list[str] | None = None,
     else:
         assert seed_urls is not None, "fresh run needs seed_urls"
         store, state = init_run(root, cfg, seed_urls)
-    robots_ref = ray.put(state.robots)
     passes = []
     budget = max_passes if max_passes is not None else cfg.max_passes
     try:
         while state.pass_id < budget:
-            stats = run_pass(store, cfg, state, robots_ref=robots_ref,
-                             handler=handler)
+            stats = run_pass(store, cfg, state, handler=handler)
             passes.append(stats)
             if stats["done"] and stats["retry_size"] == 0:
                 break
@@ -1159,12 +1155,10 @@ def run_always(root: str, cfg: CrawlConfig,
         store, state = init_run(root, cfg, seed_urls)
     else:
         store, state = resume_run(root, cfg)
-    robots_ref = ray.put(state.robots)
     polls = []
     try:
         for _ in range(max_polls):
-            stats = run_pass(store, cfg, state, robots_ref=robots_ref,
-                             handler=handler)
+            stats = run_pass(store, cfg, state, handler=handler)
             polls.append(stats)
             if not (stats["done"] and stats["retry_size"] == 0):
                 time.sleep(poll_interval)

@@ -1,23 +1,33 @@
 """Per-host politeness scheduler (T6/O1/J2/M5 in SURVEY.md §2).
 
-After the ``groupby(host)`` shuffle each host's pending candidates land in
-one group; the group fn applies, deterministically:
+``schedule_table`` tags a whole pass's candidate table on the driver in one
+vectorized kernel. Hosts are grouped by ``host_hash`` with ``np.unique``
+and every per-host rule below is evaluated over the host-sorted rows, so
+the result equals running the rules on each host group separately — the
+semantics of the reference's ``groupby(host)`` priority frontier without
+an exchange (the candidate set is bounded by
+``num_partitions × items_chunk + |retry|``). Deterministically:
 
-1. within-pass exact dedup by ``url_hash`` (A4 backstop; copies of a
-   canonical URL share the host so they always meet here — no extra
-   shuffle needed). Preference: retry rows over scan rows, then min rowid.
-2. robots rules (J2 broadcast small side): first-match path-prefix rules;
+1. verification branch: rows not owned by this virtual node are only
+   membership-probed — ``verify_ok`` / ``verify_miss``.
+2. within-pass exact dedup by ``url_hash`` (A4 backstop; copies of a
+   canonical URL share the host). The first row in (retry first, rowid,
+   partition_id) order is kept, the rest are ``dup``.
+3. cross-pass dedup: an already-seen scan row is ``seen``.
+4. robots rules (J2 broadcast small side): first-match path-prefix rules;
    a host whose rules disallow ``/`` is skipped entirely — the
    ``SkipContainer`` analog [recon: ``container_crawler/exceptions.py:≈5``,
-   caught ``__init__.py:≈215–225``].
-3. priority top-k under the token bucket (O1): sort by
-   (priority desc, rowid asc, src) — rowid ties make crawl order
-   reproducible — and schedule the first ``floor(available_tokens)`` rows.
+   caught ``__init__.py:≈215–225``]. Only hosts with non-trivial rules pay
+   per-row path checks.
+5. priority top-k under the token bucket (O1): per host, rank by
+   (priority desc, rowid, partition_id, url_hash) — the last two make a
+   salted host, whose rows share rowids across partitions, independent of
+   row order — and schedule the first ``floor(available_tokens)`` rows.
    Bucket state: ``available = min(capacity, stored + rate)`` with
    ``rate = pass_time_ms / crawl_delay_ms`` (virtual time → deterministic).
 
 Rows keep flowing with a ``sched`` tag instead of being dropped, so one
-materialized pass result carries every branch (metrics, deferral, verify).
+pass result carries every branch (metrics, deferral, verify).
 Tags: scheduled | deferred | disallowed | skipped_host | dup | seen |
 verify_ok | verify_miss.
 """
@@ -25,93 +35,95 @@ verify_ok | verify_miss.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
 from ..functions.canonicalize import path_of
 
+_ALLOW_ALL = [{"allow": True, "path_prefix": "/"}]
+
+
+def schedule_table(t: pa.Table, robots: dict, buckets: dict,
+                   pass_time_ms: float, capacity_factor: float) -> pa.Table:
+    """Append the ``sched`` tag to a candidate table of any number of
+    hosts (needs ``owned`` and ``seen`` columns)."""
+    n = len(t)
+    sched = np.full(n, "", dtype=object)
+    seen = t.column("seen").to_numpy()
+    own = t.column("owned").to_numpy()
+    sched[~own & seen] = "verify_ok"
+    sched[~own & ~seen] = "verify_miss"
+
+    hosts_u, first, hidx = np.unique(t.column("host_hash").to_numpy(),
+                                     return_index=True, return_inverse=True)
+    uh = t.column("url_hash").to_numpy()
+    rowid = t.column("rowid").to_numpy()
+    pid = t.column("partition_id").to_numpy()
+    is_retry = pc.equal(t.column("src"), "retry").to_numpy(
+        zero_copy_only=False)
+
+    # within-pass dedup: the first row per (host, url_hash) claims it
+    oidx = np.flatnonzero(own)
+    order = oidx[np.lexsort((pid[oidx], rowid[oidx], ~is_retry[oidx],
+                             uh[oidx], hidx[oidx]))]
+    dup_sorted = np.zeros(len(order), dtype=bool)
+    dup_sorted[1:] = ((uh[order[1:]] == uh[order[:-1]])
+                      & (hidx[order[1:]] == hidx[order[:-1]]))
+    dup = np.zeros(n, dtype=bool)
+    dup[order[dup_sorted]] = True
+    sched[dup] = "dup"
+    sched[own & ~dup & seen & ~is_retry] = "seen"
+
+    # robots and budgets: one dict lookup per distinct host
+    budget = np.zeros(len(hosts_u), dtype=np.int64)
+    skip = np.zeros(len(hosts_u), dtype=bool)
+    ruled: dict[int, list] = {}
+    for h, host in enumerate(t.column("host").take(first).to_pylist()):
+        rb = robots.get(host)
+        rules = rb["rules"] if rb else _ALLOW_ALL
+        if not _allowed(rules, "/"):
+            skip[h] = True      # SkipContainer analog: whole host skipped
+            continue
+        if not (len(rules) == 1 and rules[0]["allow"]
+                and rules[0]["path_prefix"] == "/"):
+            ruled[h] = rules
+        rate = pass_time_ms / max(1.0, float(rb["crawl_delay_ms"] if rb
+                                             else 1000))
+        cap = max(1.0, capacity_factor * rate)
+        budget[h] = int(min(cap, buckets.get(host, cap) + rate))
+    cand = sched == ""
+    sched[cand & skip[hidx]] = "skipped_host"
+    cand &= ~skip[hidx]
+    if ruled:
+        ridx = np.flatnonzero(cand & np.isin(hidx, list(ruled)))
+        urls = t.column("canonical_url").take(ridx).to_pylist()
+        bad = ridx[[not _allowed(ruled[int(hidx[i])], path_of(u))
+                    for i, u in zip(ridx, urls)]]
+        sched[bad] = "disallowed"
+        cand[bad] = False
+
+    # token-bucket top-k by per-host rank
+    cidx = np.flatnonzero(cand)
+    pr = t.column("priority").to_numpy()
+    cidx = cidx[np.lexsort((uh[cidx], pid[cidx], rowid[cidx], -pr[cidx],
+                            hidx[cidx]))]
+    hs = hidx[cidx]
+    starts = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
+    rank = np.arange(len(cidx)) - np.repeat(starts,
+                                            np.diff(np.r_[starts, len(cidx)]))
+    take = rank < budget[hs]
+    sched[cidx[take]] = "scheduled"
+    sched[cidx[~take]] = "deferred"
+    return t.append_column("sched", pa.array(sched, type=pa.string()))
+
 
 def make_schedule_fn(robots_ref, buckets_ref, cfg_pass_time_ms: float,
                      cfg_capacity_factor: float):
-    """Build the per-host group fn (Arrow batches — this is the one
-    per-pass shuffle, so the group blocks stay zero-copy instead of
-    paying an Arrow→pandas→Arrow round trip). robots/buckets are
-    ray.put broadcast refs (small sides), resolved per call via ray.get
-    (a local plasma lookup after the first touch on a worker)."""
-
+    """``schedule_table`` as a per-table function over ray.put refs."""
     def schedule(t: pa.Table) -> pa.Table:
-        robots = ray.get(robots_ref)
-        buckets = ray.get(buckets_ref)
-        host = t.column("host")[0].as_py()
-        n = len(t)
-        sched = np.full(n, "", dtype=object)
-
-        # verification branch: not-owned rows never compete for budget
-        seen_a = t.column("seen").to_numpy()
-        verify = ~t.column("owned").to_numpy()
-        sched[verify & seen_a] = "verify_ok"
-        sched[verify & ~seen_a] = "verify_miss"
-
-        own = ~verify
-        # 1. within-pass dedup (prefer retry, then min rowid) — vectorized:
-        # first occurrence in (retry-first, rowid-asc) order claims the hash
-        is_retry = pc.equal(t.column("src"), "retry").to_numpy(
-            zero_copy_only=False)
-        rowid = t.column("rowid").to_numpy()
-        order = np.lexsort((rowid, ~is_retry))
-        own_order = order[own[order]]
-        uh = t.column("url_hash").to_numpy()
-        dup = np.zeros(n, dtype=bool)
-        if len(own_order):
-            dup_sorted = pd.Series(uh[own_order]).duplicated().to_numpy()
-            dup[own_order[dup_sorted]] = True
-        sched[own & dup] = "dup"
-
-        # 2. already-seen scan rows are duplicates across passes
-        seen_drop = own & ~dup & seen_a & ~is_retry
-        sched[seen_drop] = "seen"
-
-        # 3. robots
-        rb = robots.get(host)
-        rules = rb["rules"] if rb else [{"allow": True, "path_prefix": "/"}]
-        delay_ms = rb["crawl_delay_ms"] if rb else 1000
-        if not _allowed(rules, "/"):
-            # SkipContainer analog: whole host skipped this pass
-            sched[own & (sched == "")] = "skipped_host"
-            return t.append_column(
-                "sched", pa.array(sched, type=pa.string()))
-        cand = own & (sched == "")
-        trivial_allow = (len(rules) == 1 and rules[0]["allow"]
-                         and rules[0]["path_prefix"] == "/")
-        if not trivial_allow:
-            # per-row path checks only for hosts with real rule lists
-            paths = [path_of(u)
-                     for u in t.column("canonical_url").to_pylist()]
-            disallowed = np.array(
-                [bool(c) and not _allowed(rules, p)
-                 for c, p in zip(cand, paths)]
-            )
-            sched[disallowed] = "disallowed"
-            cand &= ~disallowed
-
-        # 4. token bucket + priority top-k
-        rate = cfg_pass_time_ms / max(1.0, float(delay_ms))
-        cap = max(1.0, cfg_capacity_factor * rate)
-        stored = buckets.get(host, cap)  # buckets start full
-        avail = min(cap, stored + rate)
-        budget = int(avail)
-        cidx = np.flatnonzero(cand)
-        if len(cidx):
-            pr = t.column("priority").to_numpy()[cidx]
-            order2 = np.lexsort((rowid[cidx], -pr))
-            chosen = cidx[order2[:budget]]
-            sched[chosen] = "scheduled"
-            rest = cidx[order2[budget:]]
-            sched[rest] = "deferred"
-        return t.append_column("sched", pa.array(sched, type=pa.string()))
-
+        return schedule_table(t, ray.get(robots_ref), ray.get(buckets_ref),
+                              cfg_pass_time_ms, cfg_capacity_factor)
     return schedule
 
 
@@ -120,4 +132,3 @@ def _allowed(rules: list[dict], path: str) -> bool:
         if path.startswith(r["path_prefix"]):
             return bool(r["allow"])
     return True
-

@@ -158,16 +158,22 @@ def test_items_chunk_limits_scan(tmp_store):
     assert max(wm.values()) == 4
     # the metrics table carries each stage's own wall, not the pass wall
     m = store.read_fragment("metrics", "metrics", s["pass_id"]).to_pylist()
-    walls = {r["stage"]: r["wall_ms"] for r in m}
+    walls = {r["stage"]: r["wall_ms"] for r in m if r["partition_id"] >= 0}
     assert set(walls) == {"scan", "fetch"}
     assert all(w <= s["wall_ms"] for w in walls.values())
     assert walls["scan"] != walls["fetch"]
+    # plus one row per pass stage (partition_id -1) up to the docs join
+    stages = {r["stage"]: r["wall_ms"] for r in m if r["partition_id"] == -1}
+    assert list(stages) == ["scan", "probe_sched_fetch", "slim_collect",
+                            "links", "frontier_append", "retry",
+                            "docs_write_join"]
+    assert stages == {k: int(s["timings"][k] * 1000) for k in stages}
 
 
 def test_link_path_probes_seen_set_once_per_pass(tmp_store, monkeypatch):
-    """The discovered links of a pass are probed on the driver with one
-    SeenSet.contains call (one RPC per shard); the candidate probe runs
-    in Ray workers and is not counted here."""
+    """Each pass probes the seen set on the driver exactly twice, one
+    SeenSet.contains call (one RPC per shard) each: once for the pass's
+    candidates and once for its discovered links."""
     from container_crawler_ray.state.seen import SeenSet
 
     calls = []
@@ -181,9 +187,12 @@ def test_link_path_probes_seen_set_once_per_pass(tmp_store, monkeypatch):
     cfg = CrawlConfig(**BASE, fail_mod=0)
     store, state = init_run(tmp_store, cfg, make_seed_urls(60, n_hosts=20))
     for _ in range(2):
+        before = len(calls)
         s = run_pass(store, cfg, state)
         assert s["fetched"] > 0
-    assert len(calls) == 2 and all(n > 0 for n in calls)
+        assert len(calls) - before == 2
+        assert calls[before] == s["candidates"]
+    assert all(n > 0 for n in calls)
     state.seen.teardown()
 
 

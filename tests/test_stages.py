@@ -1,14 +1,21 @@
 """Unit tests for the pass stages that run without a crawl: driver-side
-rowid assignment and the per-worker caches of the mapped functions."""
+rowid assignment, the politeness schedule and the per-worker cache of the
+mapped fetch function."""
 
+import itertools
 import pickle
 
 import numpy as np
 import pyarrow as pa
+import ray
+from hypothesis import given, settings, strategies as st
 from ray import cloudpickle
 
-from container_crawler_ray.stages import fetch, probe
+from container_crawler_ray.stages import fetch
 from container_crawler_ray.stages.links import assign_rowids, to_append_shape
+from container_crawler_ray.stages.politeness import (_allowed,
+                                                     make_schedule_fn,
+                                                     schedule_table)
 
 
 def _rows(pid, url, canon, depth, rowid=None):
@@ -69,24 +76,15 @@ class _StubRef:
         return "stub-handler"
 
 
-class _StubSeen:
-    def contains(self, hashes):
-        return np.asarray(hashes) % 2 == 1
-
-
 def test_mapped_fns_use_module_cache_after_pickling():
     """Ray ships a mapped function to each task with cloudpickle; the
-    per-worker caches only hit if the unpickled function still reads the
+    per-worker cache only hits if the unpickled function still reads the
     module's own dict (a closure would carry a copy of it)."""
     fetch_fn = pickle.loads(cloudpickle.dumps(
         fetch.make_fetch_fn(_StubRef(), False)))
-    args = ("stub-run", 1, 16, 64)
-    probe_fn = pickle.loads(cloudpickle.dumps(probe.make_probe_fn(args)))
-    # filled only now: the functions can see these entries only through
-    # the module's dicts (a miss would ray.get the stub ref or build a
-    # SeenSet over actors that do not exist)
+    # filled only now: the function can see this entry only through the
+    # module's dict (a miss would ray.get the stub ref)
     fetch._HANDLERS["stub-handler"] = fetch.SimulatedFetchHandler(5, 10, 0)
-    probe._CLIENTS[args] = _StubSeen()
     try:
         out = fetch_fn(pa.table({
             "sched": ["scheduled", "deferred"],
@@ -95,9 +93,159 @@ def test_mapped_fns_use_module_cache_after_pickling():
             "attempts": pa.array([0, 0], type=pa.int32()),
             "url_hash": pa.array([1, 2], type=pa.uint64())}))
         assert out.column("ok").to_pylist() == [True, False]
-        seen = probe_fn(pa.table({"url_hash": pa.array([1, 2],
-                                                       type=pa.uint64())}))
-        assert seen.column("seen").to_pylist() == [True, False]
     finally:
         fetch._HANDLERS.pop("stub-handler", None)
-        probe._CLIENTS.pop(args, None)
+
+
+# ------------------------------------------------------------- politeness
+PASS_MS, CAP_FACTOR = 2000, 2.0
+# robots kinds: absent (allow all, 1 s delay), trivial, skip-all, and a
+# path-prefix disallow; delays make budgets of 0..8 rows per host
+_ROBOTS_KINDS = {
+    "absent": None,
+    "trivial": [{"allow": True, "path_prefix": "/"}],
+    "skip_all": [{"allow": False, "path_prefix": "/"},
+                 {"allow": True, "path_prefix": "/"}],
+    "prefix": [{"allow": False, "path_prefix": "/p/1"},
+               {"allow": True, "path_prefix": "/"}],
+}
+
+
+def _cand_table(rows):
+    """Candidate table from (host, path, src, rowid, pid, prio, owned,
+    seen) tuples; copies of one (host, path) share url_hash."""
+    return pa.table({
+        "partition_id": pa.array([r[4] for r in rows], type=pa.int32()),
+        "canonical_url": [f"http://h{r[0]}.example/p/{r[1]}" for r in rows],
+        "host": [f"h{r[0]}.example" for r in rows],
+        "url_hash": pa.array([r[0] * 100 + r[1] for r in rows],
+                             type=pa.uint64()),
+        "host_hash": pa.array([7919 * (r[0] + 1) for r in rows],
+                              type=pa.uint64()),
+        "priority": pa.array([r[5] for r in rows], type=pa.float32()),
+        "rowid": pa.array([r[3] for r in rows], type=pa.int64()),
+        "src": [r[2] for r in rows],
+        "owned": pa.array([r[6] for r in rows]),
+        "seen": pa.array([r[7] for r in rows]),
+    })
+
+
+def _reference_tags(t, robots, buckets):
+    """The schedule spelled out row by row, one host at a time."""
+    rows = t.to_pylist()
+    tags = [None] * len(rows)
+    hosts: dict = {}
+    for i, r in enumerate(rows):
+        hosts.setdefault(r["host_hash"], []).append(i)
+    for idx in hosts.values():
+        host = rows[idx[0]]["host"]
+        for i in idx:
+            if not rows[i]["owned"]:
+                tags[i] = "verify_ok" if rows[i]["seen"] else "verify_miss"
+        own = [i for i in idx if rows[i]["owned"]]
+        kept: set = set()
+        for i in sorted(own, key=lambda i: (rows[i]["src"] != "retry",
+                                            rows[i]["rowid"],
+                                            rows[i]["partition_id"])):
+            if rows[i]["url_hash"] in kept:
+                tags[i] = "dup"
+            else:
+                kept.add(rows[i]["url_hash"])
+                if rows[i]["seen"] and rows[i]["src"] != "retry":
+                    tags[i] = "seen"
+        rb = robots.get(host)
+        rules = rb["rules"] if rb else _ROBOTS_KINDS["trivial"]
+        left = [i for i in own if tags[i] is None]
+        if not _allowed(rules, "/"):
+            for i in left:
+                tags[i] = "skipped_host"
+            continue
+        for i in left:
+            path = rows[i]["canonical_url"].split(".example", 1)[1]
+            if not _allowed(rules, path):
+                tags[i] = "disallowed"
+        left = sorted((i for i in left if tags[i] is None),
+                      key=lambda i: (-rows[i]["priority"], rows[i]["rowid"],
+                                     rows[i]["partition_id"],
+                                     rows[i]["url_hash"]))
+        rate = PASS_MS / (rb["crawl_delay_ms"] if rb else 1000)
+        cap = max(1.0, CAP_FACTOR * rate)
+        budget = int(min(cap, buckets.get(host, cap) + rate))
+        for k, i in enumerate(left):
+            tags[i] = "scheduled" if k < budget else "deferred"
+    return tags
+
+
+def _per_group_tags(t, robots, buckets):
+    fn = make_schedule_fn(ray.put(robots), ray.put(buckets), PASS_MS,
+                          CAP_FACTOR)
+    tags = [None] * len(t)
+    hh = t.column("host_hash").to_numpy()
+    for h in np.unique(hh):
+        ix = np.flatnonzero(hh == h)
+        for i, tag in zip(ix, fn(t.take(pa.array(ix)))
+                          .column("sched").to_pylist()):
+            tags[i] = tag
+    return tags
+
+
+_host_cfg = st.tuples(st.sampled_from(sorted(_ROBOTS_KINDS)),
+                      st.sampled_from([250, 1000, 3000]),
+                      st.sampled_from([None, 0.0, 0.5, 1.7]))
+_row = st.tuples(
+    st.integers(0, 3),                        # host
+    st.integers(0, 13),                       # path (1, 10..13 disallowed)
+    st.sampled_from(["scan", "scan", "retry"]),
+    st.integers(0, 6),                        # rowid
+    st.integers(0, 2),                        # partition_id
+    st.sampled_from([0.25, 0.5, 0.75]),       # priority (ties)
+    st.sampled_from([True, True, True, False]),  # owned
+    st.booleans(),                            # seen
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_host_cfg, min_size=4, max_size=4),
+       st.lists(_row, min_size=1, max_size=60))
+def test_schedule_table_equals_per_host_groups(host_cfgs, rows):
+    """The whole-table kernel tags every row as the schedule run on each
+    host group separately does, and as the row-by-row spec does: verify
+    rows, retry/scan copies of one url, seen rows, skip-all hosts,
+    path-disallowed rows, budgets below the candidate count and
+    priority ties."""
+    robots, buckets = {}, {}
+    for h, (kind, delay, stored) in enumerate(host_cfgs):
+        if _ROBOTS_KINDS[kind] is not None:
+            robots[f"h{h}.example"] = {"crawl_delay_ms": delay,
+                                       "rules": _ROBOTS_KINDS[kind]}
+        if stored is not None:
+            buckets[f"h{h}.example"] = stored
+    t = _cand_table(rows)
+    got = schedule_table(t, robots, buckets, PASS_MS,
+                         CAP_FACTOR).column("sched").to_pylist()
+    assert got == _per_group_tags(t, robots, buckets)
+    assert got == _reference_tags(t, robots, buckets)
+
+
+def test_schedule_table_salted_host_ignores_row_order():
+    """A salted host's rows share rowids across partitions; which copy
+    is kept and which rows fit the budget must not depend on row order."""
+    rows = [(0, 1, "scan", 5, 1, 0.5, True, False),
+            (0, 1, "scan", 5, 0, 0.5, True, False),   # copy of url 1
+            (0, 2, "scan", 5, 1, 0.5, True, False),
+            (0, 3, "scan", 5, 0, 0.5, True, False),
+            (0, 4, "scan", 5, 2, 0.5, True, False)]
+    robots = {"h0.example": {"crawl_delay_ms": 1000,
+                             "rules": _ROBOTS_KINDS["trivial"]}}
+    buckets = {"h0.example": 0.0}              # budget 2 of 4 urls
+    want = None
+    for perm in itertools.permutations(range(len(rows))):
+        t = _cand_table([rows[i] for i in perm])
+        tags = schedule_table(t, robots, buckets, PASS_MS, CAP_FACTOR)
+        got = {(r["partition_id"], r["url_hash"]): r["sched"]
+               for r in tags.to_pylist()}
+        want = want or got
+        assert got == want
+    assert want == {(0, 1): "scheduled", (1, 1): "dup",
+                    (0, 3): "scheduled", (1, 2): "deferred",
+                    (2, 4): "deferred"}
