@@ -407,7 +407,6 @@ def crawl_headline(ncpu: int, reps: int = REPS) -> dict:
         num_partitions=32, items_chunk=20_000, workers=ncpu, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
         parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
-        fetch_mode="tasks",
     )
     seeds = make_seed_urls(SEEDS, n_hosts=cfg.n_hosts)
     # warm the worker pool + page cache (untimed)
@@ -454,7 +453,6 @@ def pressure(seeds_n: int, ncpu: int, max_passes: int = 40) -> None:
         num_partitions=32, items_chunk=20_000, workers=ncpu, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
         parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
-        fetch_mode="tasks",
     )
     t0 = time.monotonic()
     seeds = make_seed_urls(seeds_n, n_hosts=cfg.n_hosts)
@@ -578,7 +576,7 @@ def salt_drain(seeds_n: int, ncpu: int, max_passes: int = 160) -> None:
         num_partitions=32, items_chunk=20_000, workers=ncpu,
         seen_shards=8, n_hosts=200, n_paths=3000,
         pass_time_ms=3_600_000, parse_cost_bytes=8 << 20, fail_mod=97,
-        fetch_batch_size=256, fetch_mode="tasks",
+        fetch_batch_size=256,
     )
     hot = "h0000.example"
     seeds = make_seed_urls(seeds_n, n_hosts=base["n_hosts"])
@@ -745,7 +743,6 @@ def multi_engine(seeds_n: int, ncpu: int, n_engines: int = 2,
         num_partitions=32, items_chunk=20_000, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
         parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
-        fetch_mode="tasks",
     )
     if salted:
         # skew-aware repartitioning of the known Zipf head, applied to

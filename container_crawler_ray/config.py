@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 class CrawlConfig:
     # --- reference-equivalent knobs -------------------------------------
     items_chunk: int = 1000          # max rows scanned per partition per pass
-    workers: int = 4                 # fetch actor-pool size (reference: thread pool)
+    workers: int = 4                 # fetch parallelism: >= 2*workers tasks (reference: thread pool)
     bulk_process: bool = False       # bulk (one handle(rows) per block) vs per-row mode
     num_nodes: int = 1               # replica count R for mod-ownership (ring analog)
     node_id: int = 0                 # this engine's virtual node index (< num_nodes)
@@ -37,7 +37,7 @@ class CrawlConfig:
     pass_time_ms: int = 1000         # virtual wall-time per pass for token buckets
     bucket_capacity_factor: float = 2.0
     fetch_batch_size: int = 512      # rows per fetch __call__ in per-row mode
-    fetch_mode: str = "actors"       # "actors" (stateful pool) | "tasks"
+    fetch_mode: str = "tasks"        # the only fetch mode; kept for old configs
     max_passes: int = 100            # driver-loop bound
     fail_mod: int = 97               # synthetic transient-failure injector (0 = off)
     parse_cost_bytes: int = 0        # simulated per-fetch parse CPU (bench)
@@ -59,3 +59,6 @@ class CrawlConfig:
     def __post_init__(self):
         assert 0 <= self.node_id < self.num_nodes
         assert self.num_partitions > 0 and self.seen_shards > 0
+        if self.fetch_mode != "tasks":
+            raise ValueError(f"fetch_mode={self.fetch_mode!r}: the fetch "
+                             "stage runs as tasks only")

@@ -33,6 +33,7 @@ import ray
 import ray.data
 
 from ..functions.vectors import list_col_to_matrix, normalize_rows
+from .exchange import bucket_map
 
 
 def _load_queries(sf_dir: str, n_queries: int):
@@ -586,8 +587,7 @@ def embedding_triplet_audit(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "tid": pa.array(tids),
             "role": pa.array(np.array(out_role, dtype=np.int8)),
-            "vec": pa.array(out_vec, type=pa.large_binary()),
-            "bucket": pa.array((tids % 64).astype(np.int32))})
+            "vec": pa.array(out_vec, type=pa.large_binary())})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         ok = tot = 0
@@ -606,9 +606,8 @@ def embedding_triplet_audit(sf_dir: str) -> pd.DataFrame:
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
-    m = (ds.map_batches(tag, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().sum())
+    m = (bucket_map(ds.map_batches(tag, batch_format="pyarrow"),
+                    "tid", fold).sum())
     tot, ok = int(m["tot"]), int(m["ok"])
     return pd.DataFrame([(tot, ok, 10_000 * ok // tot)],
                         columns=["n_triplets", "n_satisfied",

@@ -23,7 +23,7 @@ and the pass runs no shuffle and no repartition:
         (write-ahead-logged so a mid-pass kill rolls back exactly;
         on a driver thread, overlapped with the fetch)             [T5]
     uniform driver slices of the scheduled rows only
-      → map_batches(fetch: actor pool or elastic tasks)      [T1/M2/M3]
+      → map_batches(fetch: elastic tasks)                    [T1/M2/M3]
       → materialize
 
 then derived branches over the fetch result:
@@ -71,7 +71,7 @@ from ..functions.canonicalize import canonicalize_many, host_of
 from ..functions.hashing import hash64_many
 from ..schemas import BUCKETS, CHECKPOINTS, FRONTIER, LINEAGE, METRICS, RETRY
 from ..sources import synth
-from ..stages.fetch import FetchStage, SimulatedFetchHandler
+from ..stages.fetch import SimulatedFetchHandler, make_fetch_fn
 from ..stages.links import (assign_rowids, explode_links, make_link_enrich,
                             to_append_shape)
 from ..stages.politeness import schedule_table
@@ -737,19 +737,10 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             batch_size=None if cfg.bulk_process else cfg.fetch_batch_size,
             batch_format="pyarrow",
         )
-        if cfg.fetch_mode == "tasks":
-            # elastic stateless tasks + per-worker handler cache
-            from ..stages.fetch import make_fetch_fn
-            handler_ref = ray.put(handler)
-            result = fetch_in.map_batches(
-                make_fetch_fn(handler_ref, cfg.bulk_process), **fetch_kwargs
-            ).materialize()
-        else:
-            # actor pool (autoscaling 1..workers)
-            result = fetch_in.map_batches(
-                FetchStage, fn_constructor_args=(handler, cfg.bulk_process),
-                concurrency=(1, cfg.workers), **fetch_kwargs,
-            ).materialize()
+        # elastic stateless tasks + per-worker handler cache
+        result = fetch_in.map_batches(
+            make_fetch_fn(ray.put(handler), cfg.bulk_process), **fetch_kwargs
+        ).materialize()
     # marks must be durable + applied before anything probes the seen
     # set (the link branch below); in practice the thread finished long
     # before the fetch did

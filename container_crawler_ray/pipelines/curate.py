@@ -15,6 +15,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.hashing import int_keys_md5_u64
 from ..functions.text import text_stats_batch
+from .exchange import bucket_map, read
 
 
 def curate_docs(sf_dir: str, min_tokens: int = 10,
@@ -414,17 +415,18 @@ def source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
             for tok in text.split(" "):
                 if tok:
                     pairs.add((src, tok))
-        toks, codes_l, hs = [], [], []
+        toks, codes_l = [], []
         for src, tok in pairs:
             toks.append(tok)
             codes_l.append(code[src])
-            hs.append(int.from_bytes(
-                hashlib.md5(tok.encode()).digest()[:8], "little"))
-        h = np.array(hs, dtype=np.uint64).astype(np.int64)
         return pa.table({
             "tok": pa.array(toks, type=pa.string()),
-            "src_code": pa.array(np.array(codes_l, dtype=np.int64)),
-            "bucket": pa.array((h % 64).astype(np.int32))})
+            "src_code": pa.array(np.array(codes_l, dtype=np.int64))})
+
+    def tok_md5(t: pa.Table) -> np.ndarray:
+        return np.array([int.from_bytes(
+            hashlib.md5(tok.encode()).digest()[:8], "little")
+            for tok in t.column("tok").to_pylist()], dtype=np.uint64)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         toks, inv = np.unique(g["tok"].to_numpy(), return_inverse=True)
@@ -441,9 +443,8 @@ def source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
                         rows.append((srcs[i], srcs[j], int(cnt)))
         return pd.DataFrame(rows, columns=["src_a", "src_b", "n_common"])
 
-    parts = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                       tok_md5, fold)
     out = parts.groupby(["src_a", "src_b"], as_index=False)["n_common"] \
         .sum()
     return (out.sort_values(["src_a", "src_b"], kind="mergesort")
@@ -562,9 +563,7 @@ def docs_boilerplate_prefix(sf_dir: str, prefix_len: int = 60,
 
     def derive(t: pa.Table) -> pa.Table:
         pre = pc.utf8_slice_codeunits(t.column("text"), 0, prefix_len)
-        h = hash64_many(pre.to_pylist())
-        return pa.table({"doc_id": t.column("doc_id"), "pre": pre,
-                         "bucket": pa.array((h % 64).astype(np.int32))})
+        return pa.table({"doc_id": t.column("doc_id"), "pre": pre})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("pre", sort=False).agg(
@@ -576,9 +575,9 @@ def docs_boilerplate_prefix(sf_dir: str, prefix_len: int = 60,
             "min_doc_id": agg["mid"].to_numpy(np.int64),
             "sum_doc_id": agg["sid"].to_numpy(np.int64)})
 
-    parts = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                       lambda t: hash64_many(t.column("pre").to_pylist()),
+                       fold)
     order = np.lexsort((parts["min_doc_id"].to_numpy(np.int64),
                         -parts["n_docs"].to_numpy(np.int64)))[:topk]
     out = parts.iloc[order].reset_index(drop=True)
@@ -787,10 +786,7 @@ def source_hapax_ratio(sf_dir: str) -> pd.DataFrame:
                 [cnt["c"].to_numpy(np.int64)].astype(str),
                 type=pa.string()),
             "h": pa.array(cnt["h"].to_numpy(np.int64)),
-            "n": pa.array(cnt["size"].to_numpy(np.int64)),
-            "bucket": pa.array(
-                (cnt["h"].to_numpy(np.int64).view(np.uint64) % 64)
-                .astype(np.int32))})
+            "n": pa.array(cnt["size"].to_numpy(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         # two-key C-level groupby (packing source×hash into one int64
@@ -802,9 +798,8 @@ def source_hapax_ratio(sf_dir: str) -> pd.DataFrame:
             .groupby("source")["one"].sum().to_numpy(np.int64)
         return out
 
-    parts = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                       "h", fold)
     agg = (parts.groupby("source", as_index=False).sum()
            .sort_values("source", kind="mergesort")
            .reset_index(drop=True))
@@ -838,14 +833,11 @@ def line_dedup_rate(sf_dir: str) -> pd.DataFrame:
         lines = np.asarray(flat).astype(object)[keep]
         if not len(lines):
             return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         h, c = np.unique(hash64_many(lines).astype(np.int64),
                          return_counts=True)
         return pa.table({"h": pa.array(h),
-                         "n": pa.array(c.astype(np.int64)),
-                         "bucket": pa.array(
-                             (h.view(np.uint64) % 64).astype(np.int32))})
+                         "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -856,9 +848,8 @@ def line_dedup_rate(sf_dir: str) -> pd.DataFrame:
             "inst": [int(tot.sum())], "dist": [len(tot)],
             "dup_inst": [int(tot[tot > 1].sum())]})
 
-    m = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().sum())
+    m = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                    "h", fold).sum())
     inst, dist, dup = int(m["inst"]), int(m["dist"]), int(m["dup_inst"])
     return pd.DataFrame(
         [(inst, dist, dup, 10_000 * dup // inst,
@@ -883,7 +874,6 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
     table is dimension-sized here; at 100 TB this becomes the
     distributed NTILE rank already implemented in ``events_ntile``)."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -892,8 +882,8 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
     cnts = np.array([(k * n) // 10 for k in range(1, 11)], np.int64)
     thr = ids[cnts - 1]
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=2048)
 
     def derive(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy()
@@ -905,8 +895,7 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
             docs.append(len(w))
         if not toks:
             return pa.table({"h": pa.array([], type=pa.int64()),
-                             "mn": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "mn": pa.array([], type=pa.int64())})
         doc_of = np.repeat(did, docs)
         h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
         order = np.lexsort((doc_of, h))
@@ -915,9 +904,7 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
         brk[0] = True
         brk[1:] = h[1:] != h[:-1]
         return pa.table({
-            "h": pa.array(h[brk]), "mn": pa.array(doc_of[brk]),
-            "bucket": pa.array(
-                (h[brk].view(np.uint64) % 64).astype(np.int32))})
+            "h": pa.array(h[brk]), "mn": pa.array(doc_of[brk])})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -933,9 +920,8 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
             "v": np.bincount(first_bin, minlength=10)
             .astype(np.int64)})
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas().groupby("ck", as_index=False).sum()
+    per = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                      "h", fold).groupby("ck", as_index=False).sum()
            .sort_values("ck"))
     vocab = np.cumsum(per["v"].to_numpy(np.int64))
     new = np.diff(np.concatenate(([0], vocab)))
@@ -955,10 +941,9 @@ def docs_readability(sf_dir: str) -> pd.DataFrame:
     whitespace runs. Per-batch counters grouped by lang (a handful of
     groups at any scale) → one tiny grouped sum; ratios on the
     driver."""
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["lang", "text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["lang", "text"],
+              rows_per_block=2048)
 
     import re
 
@@ -1011,10 +996,9 @@ def boilerplate_overlap_matrix(sf_dir: str,
     rows (≤ 2^n_sources, realistically thousands at any scale) into
     the pair matrix."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["source", "text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["source", "text"],
+              rows_per_block=2048)
 
     def derive(t: pa.Table) -> pa.Table:
         src = np.asarray(t.column("source"), dtype=object)
@@ -1033,9 +1017,7 @@ def boilerplate_overlap_matrix(sf_dir: str,
         m = np.bitwise_or.reduceat(bit, starts)
         hu = h[brk]
         return pa.table({
-            "h": pa.array(hu), "m": pa.array(m),
-            "bucket": pa.array(
-                (hu.view(np.uint64) % 64).astype(np.int32))})
+            "h": pa.array(hu), "m": pa.array(m)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1050,9 +1032,8 @@ def boilerplate_overlap_matrix(sf_dir: str,
         return pd.DataFrame({"mask": um.astype(np.int64),
                              "n": cnt.astype(np.int64)})
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas().groupby("mask", as_index=False).sum())
+    per = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                      "h", fold).groupby("mask", as_index=False).sum())
     masks = per["mask"].to_numpy(np.int64)
     cnts = per["n"].to_numpy(np.int64)
     n_src = 20
@@ -1091,10 +1072,9 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
     (tied frequencies contribute equally), so no tie-break is
     needed on either side."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["text"],
+              rows_per_block=2048)
 
     def derive(t: pa.Table) -> pa.Table:
         toks = []
@@ -1102,14 +1082,11 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
             toks.extend(s.split())
         if not toks:
             return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
         u, c = np.unique(h, return_counts=True)
         return pa.table({
-            "h": pa.array(u), "n": pa.array(c.astype(np.int64)),
-            "bucket": pa.array(
-                (u.view(np.uint64) % 64).astype(np.int32))})
+            "h": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1122,9 +1099,8 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
-    f = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas()["f"].to_numpy(np.int64))
+    f = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                    "h", fold)["f"].to_numpy(np.int64))
     f = np.sort(f)[::-1]
     cum = np.cumsum(f)
     tot, vocab = int(cum[-1]), len(f)
@@ -1152,10 +1128,9 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
     integer Cramer ratios in Python bigints, sign-normalized to
     milli/bps units."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["text"],
+              rows_per_block=2048)
 
     def derive(t: pa.Table) -> pa.Table:
         toks = []
@@ -1163,14 +1138,11 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
             toks.extend(s.split())
         if not toks:
             return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
         u, c = np.unique(h, return_counts=True)
         return pa.table({
-            "h": pa.array(u), "n": pa.array(c.astype(np.int64)),
-            "bucket": pa.array(
-                (u.view(np.uint64) % 64).astype(np.int32))})
+            "h": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1184,9 +1156,8 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
-    f = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas()["f"].to_numpy(np.int64))
+    f = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                    "h", fold)["f"].to_numpy(np.int64))
     f = np.sort(f)[::-1]
     v = len(f)
     rank = np.arange(1, v + 1, dtype=np.int64)
@@ -1220,9 +1191,8 @@ def kfold_balance_audit(sf_dir: str, k: int = 5) -> pd.DataFrame:
     map-side bincounts over (fold, source) — a k×n_sources grid at
     any scale, NO exchange beyond the tiny grouped sum."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
+    ds = read(sf_dir, "documents", columns=["doc_id", "source"])
 
     def partial(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy()
@@ -1282,10 +1252,9 @@ def token_burstiness(sf_dir: str) -> pd.DataFrame:
     asc), and the driver merges 64 tiny lists with the same total
     order the SQL window twin uses."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
-    ds = _read(sf_dir, "documents", columns=["text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["text"],
+              rows_per_block=2048)
 
     def derive(t: pa.Table) -> pa.Table:
         hs, cfs, dfs = [], [], []
@@ -1307,15 +1276,12 @@ def token_burstiness(sf_dir: str) -> pd.DataFrame:
         if not agg:
             return pa.table({"h": pa.array([], type=pa.int64()),
                              "cf": pa.array([], type=pa.int64()),
-                             "df": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "df": pa.array([], type=pa.int64())})
         h = np.fromiter(agg.keys(), np.int64, len(agg))
         cf = np.array([v[0] for v in agg.values()], np.int64)
         df = np.array([v[1] for v in agg.values()], np.int64)
         return pa.table({
-            "h": pa.array(h), "cf": pa.array(cf), "df": pa.array(df),
-            "bucket": pa.array(
-                (h.view(np.uint64) % 64).astype(np.int32))})
+            "h": pa.array(h), "cf": pa.array(cf), "df": pa.array(df)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1334,9 +1300,7 @@ def token_burstiness(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"h": hu[top], "cf": cfu[top],
                              "df": dfu[top]})
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas())
+    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"), "h", fold)
     order = np.lexsort((per["h"].to_numpy(np.int64),
                         -per["cf"].to_numpy(np.int64)))[:20]
     out = per.iloc[order].reset_index(drop=True)
@@ -1360,13 +1324,12 @@ def cms_width_sweep(sf_dir: str) -> pd.DataFrame:
     probe exact counts fold as probe-cardinality partials against the
     broadcast probe list."""
     from ..functions.hashing import hash64_many
-    from .analytics import _read
 
     widths = (256, 1024, 4096)
     depth = 4
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=2048)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=2048)
 
     def probe_toks(t: pa.Table) -> pa.Table:
         keep = (t.column("doc_id").to_numpy() % 199) == 0
@@ -1488,10 +1451,7 @@ def vocab_richness_chao1(sf_dir: str) -> pd.DataFrame:
                 [cnt["c"].to_numpy(np.int64)].astype(str),
                 type=pa.string()),
             "h": pa.array(cnt["h"].to_numpy(np.int64)),
-            "n": pa.array(cnt["size"].to_numpy(np.int64)),
-            "bucket": pa.array(
-                (cnt["h"].to_numpy(np.int64).view(np.uint64) % 64)
-                .astype(np.int32))})
+            "n": pa.array(cnt["size"].to_numpy(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby(["source", "h"], as_index=False)["n"].sum()
@@ -1505,9 +1465,8 @@ def vocab_richness_chao1(sf_dir: str) -> pd.DataFrame:
         out["f2"] = grp["f2"].to_numpy(np.int64)
         return out
 
-    agg = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas()
+    agg = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                      "h", fold)
            .groupby("source", as_index=False).sum()
            .sort_values("source", kind="mergesort")
            .reset_index(drop=True))
@@ -1670,9 +1629,7 @@ def vocab_gini(sf_dir: str) -> pd.DataFrame:
         u, cnt = np.unique(h, return_counts=True)
         return pa.table({
             "h": pa.array(u),
-            "n": pa.array(cnt.astype(np.int64)),
-            "bucket": pa.array((u.view(np.uint64) % 64)
-                               .astype(np.int32))})
+            "n": pa.array(cnt.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("h", as_index=False)["n"].sum()
@@ -1680,9 +1637,8 @@ def vocab_gini(sf_dir: str) -> pd.DataFrame:
                          return_counts=True)
         return pd.DataFrame({"f": f, "m": m.astype(np.int64)})
 
-    cc = (ds.map_batches(derive, batch_format="pyarrow")
-          .groupby("bucket").map_groups(fold, batch_format="pandas")
-          .to_pandas().groupby("f", as_index=False)["m"].sum()
+    cc = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                     "h", fold).groupby("f", as_index=False)["m"].sum()
           .sort_values("f").reset_index(drop=True))
     f = cc["f"].to_numpy(np.int64)
     m = cc["m"].to_numpy(np.int64)

@@ -23,6 +23,7 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from ..functions.hashing import mix64
+from .exchange import bucket_groups, bucket_map, read
 
 NUM_PERM = 64
 BANDS = 16
@@ -120,7 +121,16 @@ def _shingle_explode_fn(k: int, cand_ref):
     return explode
 
 
-_CC_BUCKETS = 64
+def _shingle_hash(t: pa.Table) -> np.ndarray:
+    """Bucket key of a ``shingle`` string column."""
+    from ..functions.hashing import hash64_many
+    return hash64_many(t.column("shingle").to_pylist())
+
+
+def _pair_key(t: pa.Table) -> np.ndarray:
+    """Bucket key of an (a, b) doc pair."""
+    return (t.column("a").to_numpy().astype(np.int64) * 1000003
+            + t.column("b").to_numpy().astype(np.int64))
 
 
 _CC_LOCAL_MAX = 100_000
@@ -218,7 +228,6 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
             "dst": np.concatenate([edges["b"].to_numpy(),
                                    edges["a"].to_numpy()]),
         }).astype(np.int64)
-        both["bucket"] = (both["src"] % _CC_BUCKETS).astype(np.int32)
         # rows: kind 0 = label (node,label), kind 1 = edge (node=src,
         # dst), kind 2 = message (node=dst, label). Edges re-enter
         # every round.
@@ -228,7 +237,6 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
             "label": pa.array(np.full(ne, -1, dtype=np.int64)),
             "dst": pa.array(both["dst"].to_numpy()),
             "kind": pa.array(np.ones(ne, dtype=np.int8)),
-            "bucket": pa.array(both["bucket"].to_numpy()),
         })).materialize()
         nodes = np.unique(both["src"].to_numpy())
         state = ray.data.from_arrow(pa.table({
@@ -236,7 +244,6 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
             "label": pa.array(nodes),
             "dst": pa.array(np.full(len(nodes), -1, dtype=np.int64)),
             "kind": pa.array(np.zeros(len(nodes), dtype=np.int8)),
-            "bucket": pa.array((nodes % _CC_BUCKETS).astype(np.int32)),
         }))
     else:
         def mirror(t: pa.Table) -> pa.Table:
@@ -249,17 +256,14 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
                 "label": pa.array(np.full(len(src), -1, dtype=np.int64)),
                 "dst": pa.array(dst),
                 "kind": pa.array(np.ones(len(src), dtype=np.int8)),
-                "bucket": pa.array((src % _CC_BUCKETS).astype(np.int32)),
             })
 
         edges_ds = edges.map_batches(
             mirror, batch_format="pyarrow").materialize()
 
         def node_partial(t: pa.Table) -> pa.Table:
-            u = np.unique(t.column("node").to_numpy())
             return pa.table({
-                "node": pa.array(u),
-                "bucket": pa.array((u % _CC_BUCKETS).astype(np.int32))})
+                "node": pa.array(np.unique(t.column("node").to_numpy()))})
 
         def node_fold(g: pd.DataFrame) -> pa.Table:
             u = np.unique(g["node"].to_numpy(np.int64))
@@ -268,13 +272,11 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
                 "label": pa.array(u),
                 "dst": pa.array(np.full(len(u), -1, dtype=np.int64)),
                 "kind": pa.array(np.zeros(len(u), dtype=np.int8)),
-                "bucket": pa.array((u % _CC_BUCKETS).astype(np.int32)),
             })
 
-        state = (edges_ds.map_batches(node_partial,
-                                      batch_format="pyarrow")
-                 .groupby("bucket")
-                 .map_groups(node_fold, batch_format="pandas"))
+        state = bucket_groups(
+            edges_ds.map_batches(node_partial, batch_format="pyarrow"),
+            "node", node_fold)
 
     def step(g: pd.DataFrame) -> pd.DataFrame:
         lab = g[g["kind"] == 0]
@@ -305,7 +307,6 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
             "kind": pa.array(np.concatenate(
                 [np.zeros(len(upd), dtype=np.int8),
                  np.full(len(m), 2, dtype=np.int8)])),
-            "bucket": pa.array((out_node % _CC_BUCKETS).astype(np.int32)),
             "changed": pa.array(np.concatenate(
                 [changed.astype(np.int64),
                  np.zeros(len(m), dtype=np.int64)])),
@@ -320,8 +321,8 @@ def _propagate_components(edges: "pd.DataFrame | ray.data.Dataset",
     # pathological end and gets a warning instead of wrong silence)
     hard_cap = max(max_rounds, 64)
     for rnd in range(hard_cap):
-        new_state = state.union(edges_ds).groupby("bucket").map_groups(
-            step, batch_format="pandas").materialize()
+        new_state = bucket_groups([state, edges_ds], "node",
+                                  step).materialize()
         changed = new_state.sum("changed")
         state = new_state.drop_columns(["changed"])
         if rnd > 0 and not changed:
@@ -380,11 +381,6 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
                                  columns=["doc_id", "text"])
     bands = docs.map_batches(make_minhash_fn(k), batch_format="pyarrow")
 
-    def hash_bucket(t: pa.Table) -> pa.Table:
-        b = (t.column("band_hash").to_numpy()
-             % np.uint64(256)).astype(np.int32)
-        return t.append_column("hbucket", pa.array(b))
-
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # equal (band, band_hash) rows always co-bucket; detect collision
         # runs with one vectorized sort instead of per-(band,hash) groups
@@ -415,10 +411,8 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
     # pandas frame (bounded collision set — the deduped-corpus common
     # case); past the cap it STAYS a Dataset (boilerplate worst case)
     # and every later step consumes it in bounded chunks
-    pairs_ds = (bands.map_batches(hash_bucket, batch_format="pyarrow")
-                .groupby("hbucket")
-                .map_groups(bucket_pairs, batch_format="pandas")
-                .materialize())
+    pairs_ds = bucket_groups(bands, "band_hash", bucket_pairs,
+                             n=256).materialize()
     n_raw = pairs_ds.count()
     spill = n_raw > pair_driver_cap
     if not spill:
@@ -434,23 +428,16 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
             "dedup, chunked verification, dataset-shaped components)",
             n_raw, pair_driver_cap)
 
-        def pair_key_bucket(t: pa.Table) -> pa.Table:
+        def pair_key(t: pa.Table) -> np.ndarray:
             a = t.column("a").to_numpy().astype(np.int64)
             b = t.column("b").to_numpy().astype(np.int64)
-            key = a * np.int64(1 << 32) + b
-            return t.append_column(
-                "pbucket", pa.array(
-                    (key.view(np.uint64) % np.uint64(256))
-                    .astype(np.int32)))
+            return a * np.int64(1 << 32) + b
 
         def pair_dedup(g: pd.DataFrame) -> pd.DataFrame:
             return g.drop_duplicates(["a", "b"])[["a", "b"]]
 
-        deduped = (pairs_ds.map_batches(pair_key_bucket,
-                                        batch_format="pyarrow")
-                   .groupby("pbucket")
-                   .map_groups(pair_dedup, batch_format="pandas")
-                   .materialize())
+        deduped = bucket_groups(pairs_ds, pair_key, pair_dedup,
+                                n=256).materialize()
         chunk_iter = deduped.iter_batches(batch_size=_PAIR_CHUNK,
                                           batch_format="pandas")
 
@@ -458,9 +445,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
             u = np.unique(np.concatenate(
                 [t.column("a").to_numpy().astype(np.int64),
                  t.column("b").to_numpy().astype(np.int64)]))
-            return pa.table({
-                "node": pa.array(u),
-                "nbucket": pa.array((u % 64).astype(np.int32))})
+            return pa.table({"node": pa.array(u)})
 
         def endpoint_fold(g: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
@@ -468,11 +453,9 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
 
         # candidate ids: one row per colliding doc — output-contract
         # bounded (never more rows than the result frame itself)
-        cand_ids = np.sort(
-            (deduped.map_batches(endpoint_partial, batch_format="pyarrow")
-             .groupby("nbucket")
-             .map_groups(endpoint_fold, batch_format="pandas")
-             .to_pandas())["node"].to_numpy(np.int64))
+        cand_ids = np.sort(bucket_map(
+            deduped.map_batches(endpoint_partial, batch_format="pyarrow"),
+            "node", endpoint_fold)["node"].to_numpy(np.int64))
 
     def label_join_back(lbl_nodes: np.ndarray,
                         lbl_vals: np.ndarray) -> pd.DataFrame:
@@ -512,8 +495,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
             return pa.table({
                 "id": pa.array(ids),
                 "lbl": pa.array(np.full(len(ids), -1, dtype=np.int64)),
-                "kind": pa.array(np.zeros(len(ids), dtype=np.int8)),
-                "jbucket": pa.array((ids % 256).astype(np.int32))})
+                "kind": pa.array(np.zeros(len(ids), dtype=np.int8))})
 
         def lbl_rows(t: pa.Table) -> pa.Table:
             n = t.column("node").to_numpy().astype(np.int64)
@@ -521,8 +503,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
             return pa.table({
                 "id": pa.array(n),
                 "lbl": pa.array(v),
-                "kind": pa.array(np.ones(len(n), dtype=np.int8)),
-                "jbucket": pa.array((n % 256).astype(np.int32))})
+                "kind": pa.array(np.ones(len(n), dtype=np.int8))})
 
         def assign(g: pd.DataFrame) -> pd.DataFrame:
             d = g[g["kind"] == 0]
@@ -539,14 +520,12 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
                 group[hit] = lv[pos[hit]]
             return pd.DataFrame({"doc_id": ids, "group_id": group})
 
-        out = (docs.select_columns(["doc_id"])
-               .map_batches(doc_rows, batch_format="pyarrow")
-               .union(comp_ds.map_batches(lbl_rows,
-                                          batch_format="pyarrow"))
-               .groupby("jbucket")
-               .map_groups(assign, batch_format="pandas")
-               .to_pandas().sort_values("doc_id")
-               .reset_index(drop=True))
+        out = (bucket_map(
+            [docs.select_columns(["doc_id"])
+             .map_batches(doc_rows, batch_format="pyarrow"),
+             comp_ds.map_batches(lbl_rows, batch_format="pyarrow")],
+            "id", assign, n=256)
+            .sort_values("doc_id").reset_index(drop=True))
         return out.astype({"doc_id": "int64", "group_id": "int64"})
 
     if not len(cand_ids):
@@ -556,19 +535,15 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
     # --- distributed exact-Jaccard verification -------------------------
     cand_ref = ray.put(cand_ids)
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (mix64(t.column("shingle_hash").to_numpy().astype(np.uint64))
-             % np.uint64(256)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
+    def shingle_mix(t: pa.Table) -> np.ndarray:
+        return mix64(t.column("shingle_hash").to_numpy().astype(np.uint64))
 
-    # materialize ONCE (explode fused with bucketize): the bucketed
-    # shingle rows feed the per-doc size aggregate and every
-    # verification chunk — without this the explode would re-execute
-    # per consumer
-    sh_bucketed = (docs.map_batches(_shingle_explode_fn(k, cand_ref),
-                                    batch_format="pyarrow")
-                   .map_batches(bucketize, batch_format="pyarrow")
-                   .materialize())
+    # materialize ONCE: the shingle rows feed the per-doc size aggregate
+    # and every verification chunk — without this the explode would
+    # re-execute per consumer
+    shingles = (docs.map_batches(_shingle_explode_fn(k, cand_ref),
+                                 batch_format="pyarrow")
+                .materialize())
 
     # per-doc shingle counts: partial np.unique per block, summed on the
     # driver (rows bounded by candidate docs × block count)
@@ -577,7 +552,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
         return pa.table({"doc_id": pa.array(u.astype(np.int64)),
                          "n_sh": pa.array(c.astype(np.int64))})
 
-    sizes = (sh_bucketed.map_batches(partial_sizes, batch_format="pyarrow")
+    sizes = (shingles.map_batches(partial_sizes, batch_format="pyarrow")
              .to_pandas().groupby("doc_id", as_index=False)["n_sh"].sum())
     size_of = dict(zip(sizes["doc_id"].astype(np.int64),
                        sizes["n_sh"].astype(np.int64)))
@@ -610,9 +585,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
 
         # per-bucket partial (a, b, inter_part) rows are bounded by the
         # chunk pair set × bucket count — the sum is a vectorized reduce
-        inter = (sh_bucketed.groupby("bucket")
-                 .map_groups(bucket_inter, batch_format="pandas")
-                 .to_pandas())
+        inter = bucket_map(shingles, shingle_mix, bucket_inter, n=256)
         if not len(inter):
             return inter.reindex(columns=["a", "b"])
         inter = (inter.groupby(["a", "b"], as_index=False)["inter_part"]
@@ -738,15 +711,6 @@ def ngram_top_pairs(sf_dir: str, k: int = 3, topn: int = 20) -> pd.DataFrame:
 
     sh = docs.map_batches(explode, batch_format="pyarrow")
 
-    # hash-partition shingles into a bounded number of buckets and do a
-    # vectorized self-merge per bucket (equal shingles always co-bucket) —
-    # per-group overhead of one task per *shingle* would dominate otherwise
-    def bucketize(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash64_many
-        b = (hash64_many(t.column("shingle").to_pylist())
-             % np.uint64(256)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
     def bucket_pair_counts(g: pd.DataFrame) -> pa.Table:
         m = g[["shingle", "doc_id", "n_sh"]].merge(
             g[["shingle", "doc_id", "n_sh"]], on="shingle")
@@ -755,10 +719,6 @@ def ngram_top_pairs(sf_dir: str, k: int = 3, topn: int = 20) -> pd.DataFrame:
                .agg(inter_part=("shingle", "size"),
                     na=("n_sh_x", "first"), nb=("n_sh_y", "first")))
         out = out.rename(columns={"doc_id_x": "a", "doc_id_y": "b"})
-        # single int64 pair key: the second shuffle groups on this (Ray's
-        # multi-key aggregate over millions of tiny groups is far slower
-        # than bucketed map_groups with a vectorized pandas reduce)
-        out["pbucket"] = ((out["a"] * 1000003 + out["b"]) % 64).astype("int32")
         # Arrow output: pandas blocks straight into the next groupby put
         # that exchange on Ray's pandas sort path (measured ~20× slower)
         return pa.Table.from_pandas(out, preserve_index=False)
@@ -778,13 +738,15 @@ def ngram_top_pairs(sf_dir: str, k: int = 3, topn: int = 20) -> pd.DataFrame:
                               ascending=[False, True, True]).head(topn)
         return out[["a", "b", "inter", "union_n", "jaccard_bp"]]
 
-    pair_counts = (
-        sh.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket").map_groups(bucket_pair_counts,
-                                      batch_format="pandas")
-        .groupby("pbucket").map_groups(reduce_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    # hash-partition shingles into a bounded number of buckets and do a
+    # vectorized self-merge per bucket (equal shingles always co-bucket) —
+    # per-group overhead of one task per *shingle* would dominate
+    # otherwise; the second shuffle groups on a single int64 pair key
+    # (Ray's multi-key aggregate over millions of tiny groups is far
+    # slower than bucketed map_groups with a vectorized pandas reduce)
+    pair_counts = bucket_map(
+        bucket_groups(sh, _shingle_hash, bucket_pair_counts, n=256),
+        _pair_key, reduce_bucket)
     if len(pair_counts) == 0:
         return pd.DataFrame({"a": [], "b": [], "inter": [], "union_n": [],
                              "jaccard_bp": []}).astype(
@@ -896,12 +858,11 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
     leaves the first map stage. A pathological run (thousands of exact
     dups sharing a band key) bounds at run², which a production config
     caps by pre-collapsing exact-equal simhashes first."""
-    from .analytics import _read
 
     # small blocks: the simhash stage is CPU-bound per row and block
     # count is its parallelism
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 rows_per_block=2048)
+    docs = read(sf_dir, "documents", columns=["doc_id", "text"],
+                rows_per_block=2048)
     sims = docs.map_batches(simhash_batch, batch_format="pyarrow")
 
     def explode(t: pa.Table) -> pa.Table:
@@ -912,12 +873,10 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         for band in range(4):
             key = ((h >> np.uint64(16 * band)) & np.uint64(0xFFFF))
             bandkey = (np.uint64(band) << np.uint64(16)) | key
-            bucket = (mix64(bandkey) % np.uint64(128)).astype(np.int32)
             parts.append(pa.table({
                 "doc_id": pa.array(ids),
                 "simhash": pa.array(h),
                 "bandkey": pa.array(bandkey.astype(np.int64)),
-                "bucket": pa.array(bucket),
             }))
         return pa.concat_tables(parts) if n else parts[0]
 
@@ -953,10 +912,11 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         # collapse in the final (tiny) result set
         return df.drop_duplicates(["a", "b"])
 
-    pairs = (sims.map_batches(explode, batch_format="pyarrow")
-             .groupby("bucket").map_groups(bucket_pairs,
-                                           batch_format="pandas")
-             .to_pandas())
+    def band_mix(t: pa.Table) -> np.ndarray:
+        return mix64(t.column("bandkey").to_numpy().astype(np.uint64))
+
+    pairs = bucket_map(sims.map_batches(explode, batch_format="pyarrow"),
+                       band_mix, bucket_pairs, n=128)
     pairs = pairs.drop_duplicates(["a", "b"]).sort_values(["a", "b"])
     return pairs.reset_index(drop=True).astype(
         {"a": "int64", "b": "int64", "hamming": "int64"})
@@ -1007,10 +967,9 @@ def dup_ngram_spans(sf_dir: str, k: int = 3) -> pd.DataFrame:
     window text never leaves the map stage (at 100 TB the window hash
     IS the join key, exactly like the reference-scale suffix-array
     pipelines)."""
-    from .analytics import _read
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 rows_per_block=2048)
+    docs = read(sf_dir, "documents", columns=["doc_id", "text"],
+                rows_per_block=2048)
 
     def explode(t: pa.Table) -> pa.Table:
         from ..functions.hashing import hash64_many
@@ -1036,12 +995,6 @@ def dup_ngram_spans(sf_dir: str, k: int = 3) -> pd.DataFrame:
                          "whash": pa.array(np.concatenate(hashes)),
                          "n_pos": pa.array(np.concatenate(counts))})
 
-    exploded = docs.map_batches(explode, batch_format="pyarrow")
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (t.column("whash").to_numpy() % np.uint64(128)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
     def flag_dups(g: pd.DataFrame) -> pd.DataFrame:
         # a window is duplicated when >= 2 rows (one per distinct doc,
         # thanks to the per-doc pre-collapse) share its hash; fully
@@ -1056,10 +1009,8 @@ def dup_ngram_spans(sf_dir: str, k: int = 3) -> pd.DataFrame:
             n_windows=("n_pos", "sum"), n_dup_windows=("dup_pos", "sum"))
         return out
 
-    partial = (exploded.map_batches(bucketize, batch_format="pyarrow")
-               .groupby("bucket").map_groups(flag_dups,
-                                             batch_format="pandas"))
-    out = partial.to_pandas()
+    out = bucket_map(docs.map_batches(explode, batch_format="pyarrow"),
+                     "whash", flag_dups, n=128)
     # a doc's windows spread across hash buckets: final per-doc sum is a
     # tiny second aggregate (one row per (doc, bucket-with-hits))
     out = out.groupby("doc_id", as_index=False).agg(
@@ -1196,11 +1147,10 @@ def strip_dup_windows(sf_dir: str, k: int = 3) -> pd.DataFrame:
     spans — the golden recomputes all of it independently."""
     import ray
 
-    from .analytics import _read
     from ..functions.hashing import hash64_many
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 rows_per_block=2048)
+    docs = read(sf_dir, "documents", columns=["doc_id", "text"],
+                rows_per_block=2048)
 
     def whashes(text: str, k_: int):
         toks = text.split()
@@ -1226,9 +1176,7 @@ def strip_dup_windows(sf_dir: str, k: int = 3) -> pd.DataFrame:
         g = df.groupby("whash", as_index=False)["n_docs"].sum()
         wh = g["whash"].to_numpy(np.uint64)
         return pa.table({"whash": pa.array(wh),
-                         "n_docs": pa.array(g["n_docs"].to_numpy(np.int64)),
-                         "bk": pa.array((wh % np.uint64(64))
-                                        .astype(np.int32))})
+                         "n_docs": pa.array(g["n_docs"].to_numpy(np.int64))})
 
     def reduce_dup(g: pd.DataFrame) -> pa.Table:
         # window hashes are near token-cardinality, so a Ray aggregate
@@ -1243,9 +1191,8 @@ def strip_dup_windows(sf_dir: str, k: int = 3) -> pd.DataFrame:
         tot = np.add.reduceat(n, idx)
         return pa.table({"whash": pa.array(u[tot > 1])})
 
-    agg = (docs.map_batches(partial, batch_format="pyarrow")
-           .groupby("bk").map_groups(reduce_dup, batch_format="pandas")
-           .to_pandas())
+    agg = bucket_map(docs.map_batches(partial, batch_format="pyarrow"),
+                     "whash", reduce_dup)
     dup = np.sort(agg["whash"].to_numpy(np.uint64))
     ref = ray.put(dup)
 
@@ -1347,8 +1294,7 @@ def docs_trigram_novelty(sf_dir: str) -> pd.DataFrame:
         h = np.array(hs, dtype=np.uint64).astype(np.int64)
         return pa.table({
             "doc_id": pa.array(np.array(dids, dtype=np.int64)),
-            "gh": pa.array(h),
-            "bucket": pa.array((h % 64).astype(np.int32))})
+            "gh": pa.array(h)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         gh = g["gh"].to_numpy(np.int64)
@@ -1368,9 +1314,8 @@ def docs_trigram_novelty(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64),
             "distinct_grams": np.bincount(inv).astype(np.int64)})
 
-    parts = (ds.map_batches(explode, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(explode, batch_format="pyarrow"),
+                       "gh", fold)
     out = parts.groupby("doc_id", as_index=False).sum()
     return (out.sort_values("doc_id", kind="mergesort")
             .reset_index(drop=True)
@@ -1408,12 +1353,6 @@ def ngram_containment_pairs(sf_dir: str, k: int = 3,
 
     sh = docs.map_batches(explode, batch_format="pyarrow")
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash64_many
-        b = (hash64_many(t.column("shingle").to_pylist())
-             % np.uint64(256)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
     def bucket_pair_counts(g: pd.DataFrame) -> pa.Table:
         m = g[["shingle", "doc_id", "n_sh"]].merge(
             g[["shingle", "doc_id", "n_sh"]], on="shingle")
@@ -1422,8 +1361,6 @@ def ngram_containment_pairs(sf_dir: str, k: int = 3,
                .agg(inter_part=("shingle", "size"),
                     na=("n_sh_x", "first"), nb=("n_sh_y", "first")))
         out = out.rename(columns={"doc_id_x": "a", "doc_id_y": "b"})
-        out["pbucket"] = ((out["a"] * 1000003 + out["b"]) % 64) \
-            .astype("int32")
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1437,12 +1374,9 @@ def ngram_containment_pairs(sf_dir: str, k: int = 3,
                               ascending=[False, True, True]).head(topn)
         return out[["a", "b", "inter", "min_n", "containment_bp"]]
 
-    pc_ = (sh.map_batches(bucketize, batch_format="pyarrow")
-           .groupby("bucket").map_groups(bucket_pair_counts,
-                                         batch_format="pandas")
-           .groupby("pbucket").map_groups(reduce_bucket,
-                                          batch_format="pandas")
-           .to_pandas())
+    pc_ = bucket_map(
+        bucket_groups(sh, _shingle_hash, bucket_pair_counts, n=256),
+        _pair_key, reduce_bucket)
     if len(pc_) == 0:
         return pd.DataFrame(
             {"a": [], "b": [], "inter": [], "min_n": [],
@@ -1502,9 +1436,7 @@ def _lead_pair_derive(t: pa.Table, elo: np.ndarray) -> pa.Table:
         "kind": pa.array(kind, type=pa.int8()),
         "k": pa.array(kk, type=pa.int32()),
         "side": pa.array(side, type=pa.int8()),
-        "val": pa.array(val, type=pa.int64()),
-        "bucket": pa.array([p % 64 for p in pair],
-                           type=pa.int32())})
+        "val": pa.array(val, type=pa.int64())})
 
 
 def _lead_pair_miu(g: pd.DataFrame):
@@ -1556,7 +1488,6 @@ def minhash_error_audit(sf_dir: str) -> pd.DataFrame:
     dimension-sized (at 100 TB the pairing rule becomes the same
     block-local LEAD used by ``embedding_triplet_audit``)."""
     from ..functions.hashing import hash64, hash64_many
-    from .analytics import _read
 
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -1565,8 +1496,8 @@ def minhash_error_audit(sf_dir: str) -> pd.DataFrame:
     n_pairs = len(el) - 1
     el_ref = ray.put(el)
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=512)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=512)
 
     def derive(t: pa.Table) -> pa.Table:
         return _lead_pair_derive(t, ray.get(el_ref))
@@ -1577,9 +1508,8 @@ def minhash_error_audit(sf_dir: str) -> pd.DataFrame:
         exv = 10_000 * i_ // u
         return pd.DataFrame({"pid": pu, "est": est, "ex": exv})
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas())
+    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                     "pair", fold)
     est = per["est"].to_numpy(np.int64)
     exv = per["ex"].to_numpy(np.int64)
     err = np.abs(est - exv)
@@ -1604,7 +1534,6 @@ def dedup_threshold_pr(sf_dir: str) -> pd.DataFrame:
     pure integer cross-multiplication (10·i >= tau10·u, 10·m >=
     64·tau10 — no float ever ranks a pair), so each bucket ships 3
     rows of 4 counters and the driver sums tiny grids."""
-    from .analytics import _read
 
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -1612,8 +1541,8 @@ def dedup_threshold_pr(sf_dir: str) -> pd.DataFrame:
     el = ids[ids % 5 == 0]
     el_ref = ray.put(el)
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=512)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=512)
 
     def derive(t: pa.Table) -> pa.Table:
         return _lead_pair_derive(t, ray.get(el_ref))
@@ -1632,9 +1561,9 @@ def dedup_threshold_pr(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=[
             "tau10", "tp", "fp", "fn", "tn"]).astype("int64")
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas().groupby("tau10", as_index=False).sum()
+    per = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                      "pair", fold)
+           .groupby("tau10", as_index=False).sum()
            .sort_values("tau10").reset_index(drop=True))
     tp = per["tp"].to_numpy(np.int64)
     fp = per["fp"].to_numpy(np.int64)
@@ -1658,7 +1587,6 @@ def fold_leakage_audit(sf_dir: str) -> pd.DataFrame:
     audit adds NO extra shuffle. Reports same-fold vs cross-fold dup
     counts, total pairs, and the leakage share of dups in bps."""
     from ..functions.hashing import hash64, hash64_many
-    from .analytics import _read
 
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -1668,8 +1596,8 @@ def fold_leakage_audit(sf_dir: str) -> pd.DataFrame:
     from ..functions.hashing import int_keys_md5_u64
     folds = (int_keys_md5_u64(el) % np.uint64(5)).astype(np.int64)
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=512)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=512)
 
     def derive(t: pa.Table) -> pa.Table:
         return _lead_pair_derive(t, ray.get(el_ref))
@@ -1679,9 +1607,8 @@ def fold_leakage_audit(sf_dir: str) -> pd.DataFrame:
         dup = 2 * i_ >= u
         return pd.DataFrame({"pid": pu[dup]})
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas())
+    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                     "pair", fold)
     pid = per["pid"].to_numpy(np.int64)
     fa, fb = folds[pid], folds[pid + 1]
     n_dup = len(pid)
@@ -1747,7 +1674,6 @@ def docs_rouge_pairs(sf_dir: str) -> pd.DataFrame:
     pairs above 0.5). Python-split tokenization == the twin's
     regexp_split + empty filter. Eligible-id list is dimension-sized
     (the 100 TB pairing rule becomes block-local LEAD)."""
-    from .analytics import _read
 
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -1756,8 +1682,8 @@ def docs_rouge_pairs(sf_dir: str) -> pd.DataFrame:
     n_pairs = len(el) - 1
     el_ref = ray.put(el)
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"],
-               rows_per_block=512)
+    ds = read(sf_dir, "documents", columns=["doc_id", "text"],
+              rows_per_block=512)
 
     def derive(t: pa.Table) -> pa.Table:
         elo = ray.get(el_ref)
@@ -1787,9 +1713,7 @@ def docs_rouge_pairs(sf_dir: str) -> pd.DataFrame:
             "pair": pa.array(pair, type=pa.int64()),
             "side": pa.array(side, type=pa.int8()),
             "tok": pa.array(tok, type=pa.string()),
-            "cnt": pa.array(cnt, type=pa.int64()),
-            "bucket": pa.array([p % 64 for p in pair],
-                               type=pa.int32())})
+            "cnt": pa.array(cnt, type=pa.int64())})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         sd = g["side"].to_numpy(np.int8)
@@ -1807,9 +1731,8 @@ def docs_rouge_pairs(sf_dir: str) -> pd.DataFrame:
         out["l2"] = out["pair"].map(l2).fillna(0).astype(np.int64)
         return out
 
-    per = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           .to_pandas())
+    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                     "pair", fold)
     tot = per["l1"].to_numpy(np.int64) + per["l2"].to_numpy(np.int64)
     f = np.where(tot > 0,
                  2000 * per["ov"].to_numpy(np.int64)
@@ -1888,11 +1811,12 @@ def dedup_cross_source_census(sf_dir: str) -> pd.DataFrame:
         texts = t.column("text").to_pylist()
         hs = [hashlib.md5(s.encode("utf-8")).hexdigest()
               for s in texts]
-        bk = [int(h[:2], 16) % 64 for h in hs]
-        return pa.table({
-            "h": pa.array(hs, type=pa.string()),
-            "source": t.column("source"),
-            "bucket": pa.array(bk, type=pa.int32())})
+        return pa.table({"h": pa.array(hs, type=pa.string()),
+                         "source": t.column("source")})
+
+    def first_byte(t: pa.Table) -> np.ndarray:
+        return np.array([int(h[:2], 16) for h in t.column("h").to_pylist()],
+                        dtype=np.int64)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         gr = g.groupby("h").agg(n=("source", "size"),
@@ -1905,9 +1829,9 @@ def dedup_cross_source_census(sf_dir: str) -> pd.DataFrame:
             "cross_groups": int((dup["ns"] >= 2).sum()),
             "cross_docs": int(dup.loc[dup["ns"] >= 2, "n"].sum())}])
 
-    m = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().sum())
+    m = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                    first_byte, fold)
+         .sum())
     gd = int(m["n_groups_dup"])
     return pd.DataFrame([(int(m["n_docs"]), gd, int(m["n_docs_dup"]),
                           int(m["cross_groups"]),
@@ -1939,8 +1863,7 @@ def embedding_exact_dup_census(sf_dir: str) -> pd.DataFrame:
     def derive(t: pa.Table) -> pa.Table:
         empty = pa.table({"h1": pa.array([], type=pa.uint64()),
                           "h2": pa.array([], type=pa.uint64()),
-                          "c": pa.array([], type=pa.int64()),
-                          "bucket": pa.array([], type=pa.int32())})
+                          "c": pa.array([], type=pa.int64())})
         arr = t.column("embedding").combine_chunks()
         if len(arr) == 0:
             return empty
@@ -1960,13 +1883,9 @@ def embedding_exact_dup_census(sf_dir: str) -> pd.DataFrame:
         dig = b"".join(md5(v.tobytes()).digest() for v in uniq)
         dg = (np.frombuffer(dig, dtype=np.dtype(">u8"))
               .astype(np.uint64).reshape(-1, 2))
-        # bucket = first digest byte % 64 (same routing as before)
-        bucket = ((dg[:, 0] >> np.uint64(56)).astype(np.int64)
-                  % 64).astype(np.int32)
         return pa.table({"h1": pa.array(dg[:, 0]),
                          "h2": pa.array(dg[:, 1]),
-                         "c": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(bucket)})
+                         "c": pa.array(cnt.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby(["h1", "h2"], sort=False)["c"].sum()
@@ -1977,9 +1896,9 @@ def embedding_exact_dup_census(sf_dir: str) -> pd.DataFrame:
             "n_dup_vecs": int(dup.sum()),
             "max_group": int(c.max()) if len(c) else 0}])
 
-    m = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas())
+    m = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                   lambda t: t.column("h1").to_numpy() >> np.uint64(56),
+                   fold)
     return pd.DataFrame([(int(m["n_vecs"].sum()),
                           int(m["n_groups_dup"].sum()),
                           int(m["n_dup_vecs"].sum()),

@@ -23,9 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .joins import _read
-
-_BUCKETS = 64
+from .exchange import bucket_groups, bucket_map, read
 
 
 def _build_edges(sf_dir: str):
@@ -34,13 +32,8 @@ def _build_edges(sf_dir: str):
     unit of weight. One bucketed exchange (``orderkey % 64``); each
     bucket derives its orders' consecutive pairs with vectorized
     shifts and pre-aggregates (src, dst) weights."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_linenumber", "l_partkey"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        key = t.column("l_orderkey").to_numpy().astype(np.int64)
-        return t.append_column(
-            "bucket", pa.array((key % _BUCKETS).astype(np.int32)))
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_linenumber", "l_partkey"])
 
     def mk_edges(g: pd.DataFrame) -> pd.DataFrame:
         # l_partkey tiebreak: (orderkey, linenumber) is NOT unique in
@@ -55,11 +48,6 @@ def _build_edges(sf_dir: str):
         return (e.groupby(["src", "dst"], as_index=False)
                 .size().rename(columns={"size": "w"}))
 
-    def tag_src(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy().astype(np.int64)
-        return t.append_column(
-            "ebucket", pa.array((src % _BUCKETS).astype(np.int32)))
-
     def merge_edges(g: pd.DataFrame) -> pd.DataFrame:
         return (g.groupby(["src", "dst"], as_index=False)["w"].sum())
 
@@ -67,13 +55,8 @@ def _build_edges(sf_dir: str):
     # order-buckets; contributions use floor division, so weights must
     # be globally aggregated BEFORE the iteration or the per-fragment
     # floors lose 1 ppm each (measured vs the golden).
-    return (items.map_batches(tag, batch_format="pyarrow")
-            .groupby("bucket").map_groups(mk_edges,
-                                          batch_format="pandas")
-            .map_batches(tag_src, batch_format="pyarrow")
-            .groupby("ebucket").map_groups(merge_edges,
-                                           batch_format="pandas")
-            .materialize())
+    return bucket_groups(bucket_groups(items, "l_orderkey", mk_edges),
+                         "src", merge_edges).materialize()
 
 
 def pagerank_parts(sf_dir: str, iters: int = 10,
@@ -96,7 +79,7 @@ def pagerank_parts(sf_dir: str, iters: int = 10,
     the bucketed co-partition join, same integer semantics.
 
     Output: (p_partkey, rank_ppm) for every part in the catalog."""
-    part = _read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
+    part = read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
     pk = np.sort(part["p_partkey"].to_numpy(np.int64))
     n_max = int(pk.max()) + 1
 
@@ -169,20 +152,18 @@ def triangle_count_parts(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        "a", distinct_ab).materialize()
 
     # degree over the distinct undirected edge set — dense bincount
     # partials (fixed catalog-sized vectors, no shuffle), same fold as
     # part_kcore: a Ray groupby here pays per node group (~1.2s)
-    nd_max = int(_read(sf_dir, "part", columns=["p_partkey"])
+    nd_max = int(read(sf_dir, "part", columns=["p_partkey"])
                  .max("p_partkey"))
 
     def deg_partial(t: pa.Table) -> pa.Table:
@@ -209,8 +190,7 @@ def triangle_count_parts(sf_dir: str) -> pd.DataFrame:
         del dlt
         u = np.where(a_first, a, b)
         v = np.where(a_first, b, a)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "wk": pa.array((u % _BUCKETS).astype(np.int32))})
+        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized within-group pair expansion (no per-u Python
@@ -242,23 +222,18 @@ def triangle_count_parts(sf_dir: str) -> pd.DataFrame:
         # v ascending within each u-group → v[A] < v[B] (canonical)
         return pd.DataFrame({"a": v[A], "b": v[B], "side": np.int8(1)})
 
-    wedge_ds = (und.map_batches(orient, batch_format="pyarrow")
-                .groupby("wk").map_groups(wedges, batch_format="pandas"))
+    wedge_ds = bucket_groups(und.map_batches(orient, batch_format="pyarrow"),
+                             "u", wedges)
 
     def edge_side(t: pa.Table) -> pa.Table:
         return pa.table({"a": t.column("a"), "b": t.column("b"),
                          "side": pa.array(
                              np.zeros(len(t), dtype=np.int8))})
 
-    both = und.map_batches(edge_side, batch_format="pyarrow") \
-        .union(wedge_ds)
-
-    def tag_pair(t: pa.Table) -> pa.Table:
+    def pair_key(t: pa.Table) -> np.ndarray:
         a = t.column("a").to_numpy().astype(np.int64)
         b = t.column("b").to_numpy().astype(np.int64)
-        return t.append_column(
-            "pk", pa.array(((a * 1315423911 + b) % _BUCKETS)
-                           .astype(np.int32)))
+        return a * 1315423911 + b
 
     def close_count(g: pd.DataFrame) -> pd.DataFrame:
         e = g[g["side"] == 0][["a", "b"]].drop_duplicates()
@@ -266,9 +241,8 @@ def triangle_count_parts(sf_dir: str) -> pd.DataFrame:
         n = len(w.merge(e, on=["a", "b"]))
         return pd.DataFrame({"n_triangles": [n]})
 
-    tri = (both.map_batches(tag_pair, batch_format="pyarrow")
-           .groupby("pk").map_groups(close_count, batch_format="pandas")
-           .to_pandas())
+    tri = bucket_map([und.map_batches(edge_side, batch_format="pyarrow"),
+                      wedge_ds], pair_key, close_count)
 
     n_edges = int(und.count())
     return pd.DataFrame({"n_nodes": [int(n_nodes)],
@@ -294,7 +268,7 @@ def part_components(sf_dir: str) -> pd.DataFrame:
     minimum partkey) plus the component size, sorted by part."""
     edges = _build_edges(sf_dir)
 
-    n_max = int(_read(sf_dir, "part", columns=["p_partkey"])
+    n_max = int(read(sf_dir, "part", columns=["p_partkey"])
                 .to_pandas()["p_partkey"].max())
     labels = np.arange(n_max + 1, dtype=np.int64)
 
@@ -353,7 +327,7 @@ def part_bfs_hops(sf_dir: str, max_hops: int = 3) -> pd.DataFrame:
     """
     edges = _build_edges(sf_dir)
 
-    n_max = int(_read(sf_dir, "part", columns=["p_partkey"])
+    n_max = int(read(sf_dir, "part", columns=["p_partkey"])
                 .to_pandas()["p_partkey"].max())
     inf = np.iinfo(np.int64).max
     dist = np.full(n_max + 1, inf, dtype=np.int64)
@@ -423,12 +397,15 @@ def part_kcore(sf_dir: str, k: int = 30) -> pd.DataFrame:
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
         u = np.unique(a * (1 << 32) + b)
-        bk = ((u.astype(np.uint64)
-               * np.uint64(11400714819323198485))
-              >> np.uint64(58)).astype(np.int32)
         return pa.table({"a": pa.array(u >> 32),
-                         "b": pa.array(u & ((1 << 32) - 1)),
-                         "bk": pa.array(bk)})
+                         "b": pa.array(u & ((1 << 32) - 1))})
+
+    def ab_hash(t: pa.Table) -> np.ndarray:
+        # Fibonacci hash of the packed pair, top 6 bits
+        u = (t.column("a").to_numpy().astype(np.int64) * (1 << 32)
+             + t.column("b").to_numpy().astype(np.int64))
+        return ((u.astype(np.uint64) * np.uint64(11400714819323198485))
+                >> np.uint64(58))
 
     def dedup_ab(g: pd.DataFrame) -> pa.Table:
         u = np.unique(g["a"].to_numpy(np.int64) * (1 << 32)
@@ -436,11 +413,10 @@ def part_kcore(sf_dir: str, k: int = 30) -> pd.DataFrame:
         return pa.table({"a": pa.array(u >> 32),
                          "b": pa.array(u & ((1 << 32) - 1))})
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(dedup_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        ab_hash, dedup_ab).materialize()
 
-    n_max = int(_read(sf_dir, "part", columns=["p_partkey"])
+    n_max = int(read(sf_dir, "part", columns=["p_partkey"])
                 .to_pandas()["p_partkey"].max())
     alive = np.ones(n_max + 1, dtype=bool)
 
@@ -513,15 +489,13 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        "a", distinct_ab).materialize()
 
     # broadcast the packed edge set for the non-edge filter
     def pack_edges(t: pa.Table) -> pa.Table:
@@ -541,8 +515,7 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         b = t.column("b").to_numpy().astype(np.int64)
         u = np.concatenate([a, b])
         v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "wk": pa.array((u % _BUCKETS).astype(np.int32))})
+        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedge_counts(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -550,8 +523,7 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         order = np.lexsort((v, u))
         u, v = u[order], v[order]
         empty = pa.table({"pair": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64()),
-                          "rb": pa.array([], type=pa.int32())})
+                          "n": pa.array([], type=pa.int64())})
         if len(u) < 2:
             return empty
         change = np.flatnonzero(u[1:] != u[:-1]) + 1
@@ -568,8 +540,7 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         pk = v[A] * (1 << 21) + v[B]       # v sorted per center → a < b
         uk, cnt = np.unique(pk, return_counts=True)
         return pa.table({"pair": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "rb": pa.array((uk % _BUCKETS).astype(np.int32))})
+                         "n": pa.array(cnt.astype(np.int64))})
 
     def reduce_top(g: pd.DataFrame) -> pa.Table:
         out = g.groupby("pair", as_index=False)["n"].sum()
@@ -583,10 +554,10 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
                               kind="mergesort").head(topn)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    out = (und.map_batches(adjacency, batch_format="pyarrow")
-           .groupby("wk").map_groups(wedge_counts, batch_format="pandas")
-           .groupby("rb").map_groups(reduce_top, batch_format="pandas")
-           .to_pandas())
+    out = bucket_map(
+        bucket_groups(und.map_batches(adjacency, batch_format="pyarrow"),
+                      "u", wedge_counts),
+        "pair", reduce_top)
     out = out.sort_values(["n", "pair"], ascending=[False, True],
                           kind="mergesort").head(topn)
     pk = out["pair"].to_numpy(np.int64)
@@ -618,15 +589,13 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        "a", distinct_ab).materialize()
 
     def pack_edges(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy().astype(np.int64)
@@ -648,8 +617,7 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         b = t.column("b").to_numpy().astype(np.int64)
         u = np.concatenate([a, b])
         v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "wk": pa.array((u % _BUCKETS).astype(np.int32))})
+        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedge_counts(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -657,8 +625,7 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
         order = np.lexsort((v, u))
         u, v = u[order], v[order]
         empty = pa.table({"pair": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64()),
-                          "rb": pa.array([], type=pa.int32())})
+                          "n": pa.array([], type=pa.int64())})
         if len(u) < 2:
             return empty
         change = np.flatnonzero(u[1:] != u[:-1]) + 1
@@ -685,8 +652,7 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
             return empty
         uk, cnt = np.unique(pk, return_counts=True)
         return pa.table({"pair": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "rb": pa.array((uk % _BUCKETS).astype(np.int32))})
+                         "n": pa.array(cnt.astype(np.int64))})
 
     def reduce_top(g: pd.DataFrame) -> pa.Table:
         out = g.groupby("pair", as_index=False)["n"].sum()
@@ -715,10 +681,10 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
                               kind="mergesort").head(topn)
         return pa.Table.from_pandas(loc, preserve_index=False)
 
-    out = (und.map_batches(adjacency, batch_format="pyarrow")
-           .groupby("wk").map_groups(wedge_counts, batch_format="pandas")
-           .groupby("rb").map_groups(reduce_top, batch_format="pandas")
-           .to_pandas())
+    out = bucket_map(
+        bucket_groups(und.map_batches(adjacency, batch_format="pyarrow"),
+                      "u", wedge_counts),
+        "pair", reduce_top)
     out = out.sort_values(["jacc_bps", "pair"], ascending=[False, True],
                           kind="mergesort").head(topn)
     pk = out["pair"].to_numpy(np.int64)
@@ -752,15 +718,13 @@ def part_clustering_coeff(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        "a", distinct_ab).materialize()
 
     def pack_edges(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy().astype(np.int64)
@@ -782,8 +746,7 @@ def part_clustering_coeff(sf_dir: str) -> pd.DataFrame:
         b = t.column("b").to_numpy().astype(np.int64)
         u = np.concatenate([a, b])
         v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "wk": pa.array((u % _BUCKETS).astype(np.int32))})
+        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def closed_per_center(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -823,10 +786,8 @@ def part_clustering_coeff(sf_dir: str) -> pd.DataFrame:
         return pa.table({"p_partkey": pa.array(u[starts[keep]]),
                          "n_closed": pa.array(cnt)})
 
-    got = (und.map_batches(adjacency, batch_format="pyarrow")
-           .groupby("wk").map_groups(closed_per_center,
-                                     batch_format="pandas")
-           .to_pandas())
+    got = bucket_map(und.map_batches(adjacency, batch_format="pyarrow"),
+                     "u", closed_per_center)
     # every node with deg >= 2, zero-filled where no wedge closed
     keys = np.flatnonzero(deg >= 2).astype(np.int64)
     closed = np.zeros(len(deg), dtype=np.int64)
@@ -858,15 +819,13 @@ def part_assortativity(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .materialize())
+    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
+                        "a", distinct_ab).materialize()
     ab = und.to_pandas()
     a = ab["a"].to_numpy(np.int64)
     b = ab["b"].to_numpy(np.int64)
@@ -969,19 +928,17 @@ def part_graph_modularity(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .to_pandas())
+    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
+                     "a", distinct_ab)
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     m = len(a)
-    pt = _read(sf_dir, "part", columns=["p_partkey", "p_brand"]) \
+    pt = read(sf_dir, "part", columns=["p_partkey", "p_brand"]) \
         .to_pandas()
     codes, uniq = pd.factorize(pt["p_brand"], sort=True)
     lut = np.full(int(pt["p_partkey"].max()) + 1, -1, np.int64)
@@ -1028,15 +985,13 @@ def part_degree_ccdf(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .to_pandas())
+    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
+                     "a", distinct_ab)
     nodes = np.concatenate([und["a"].to_numpy(np.int64),
                             und["b"].to_numpy(np.int64)])
     deg = np.bincount(nodes).astype(np.int64)
@@ -1073,15 +1028,13 @@ def part_walk_centrality(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .to_pandas())
+    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
+                     "a", distinct_ab)
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     deg = np.bincount(np.concatenate([a, b])).astype(np.int64)
@@ -1117,19 +1070,17 @@ def brand_edge_affinity(sf_dir: str) -> pd.DataFrame:
         m = s != d
         a = np.minimum(s[m], d[m])
         b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "bk": pa.array((a % _BUCKETS).astype(np.int32))})
+        return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
         return g[["a", "b"]].drop_duplicates()
 
-    und = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby("bk").map_groups(distinct_ab, batch_format="pandas")
-           .to_pandas())
+    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
+                     "a", distinct_ab)
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     m = len(a)
-    pt = _read(sf_dir, "part", columns=["p_partkey", "p_brand"]) \
+    pt = read(sf_dir, "part", columns=["p_partkey", "p_brand"]) \
         .to_pandas()
     codes, uniq = pd.factorize(pt["p_brand"], sort=True)
     lut = np.full(int(pt["p_partkey"].max()) + 1, -1, np.int64)

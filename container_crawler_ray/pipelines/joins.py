@@ -20,34 +20,16 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-_JOIN_BUCKETS = 64
-
-
-def _read(sf_dir: str, table: str, columns=None,
-          rows_per_block: int = 65536):
-    """Size-aware read: block count proportional to the table's rows
-    (from parquet metadata — no data read). The join exchanges here are
-    shuffle-dominated, and Ray's sort shuffle pays per input block — a
-    CPU-count-based split of a small table into 64 tiny blocks made the
-    sort 5× slower than the join itself. ~64k-row blocks keep per-task
-    work real at every scale (at 100 TB this yields millions of blocks;
-    at sf0.1 a handful)."""
-    import pyarrow.parquet as pq
-
-    path = f"{sf_dir}/{table}.parquet"
-    n = pq.ParquetFile(path).metadata.num_rows
-    nb = max(2, n // rows_per_block)
-    return ray.data.read_parquet(path, columns=columns,
-                                 override_num_blocks=nb)
+from .exchange import BUCKETS, bucket_groups, bucket_map, read
 
 
 def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H-Q12-ish: orders ⨝ lineitem on orderkey (both fact-sized),
     revenue cents + line count per order priority. Value-exact vs SQL:
     money quantized to integer cents with FLOOR on both sides."""
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy()
@@ -56,7 +38,6 @@ def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
             "o_orderpriority": t.column("o_orderpriority"),
             "disc_cents": pa.array(np.full(len(t), -1, dtype=np.int64)),
             "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def tag_items(t: pa.Table) -> pa.Table:
@@ -69,7 +50,6 @@ def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
             "o_orderpriority": pa.array([""] * len(t), type=pa.string()),
             "disc_cents": pa.array(cents),
             "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
@@ -83,11 +63,9 @@ def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
             n_lines=("disc_cents", "size"))
         return out
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    partial = tagged.groupby("bucket").map_groups(bucket_join,
-                                                  batch_format="pandas")
-    out = partial.to_pandas()
+    out = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                      items.map_batches(tag_items, batch_format="pyarrow")],
+                     "key", bucket_join)
     out = out.groupby("o_orderpriority", as_index=False).agg(
         revenue_cents=("revenue_cents", "sum"),
         n_lines=("n_lines", "sum"))
@@ -106,15 +84,14 @@ def purchase_click_asof(sf_dir: str) -> pd.DataFrame:
     user_id+ts clicks) are pre-collapsed to the max event_id so the
     match is deterministic on both the Ray and SQL sides. Purchases with
     no prior click are dropped (inner as-of)."""
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
+    ev = read(sf_dir, "events",
+              columns=["event_id", "ts", "user_id", "event_type"])
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         keep = pc.is_in(t.column("event_type"),
                         value_set=pa.array(["click", "purchase"]))
         t = t.filter(keep)
-        uid = t.column("user_id").to_numpy()
         side = (np.asarray(t.column("event_type")) == "purchase").astype(
             np.int8)
         return pa.table({
@@ -122,7 +99,6 @@ def purchase_click_asof(sf_dir: str) -> pd.DataFrame:
             "ts_us": t.column("ts").cast(pa.int64()),
             "user_id": t.column("user_id"),
             "side": pa.array(side),
-            "bucket": pa.array((uid % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def bucket_asof(g: pd.DataFrame) -> pd.DataFrame:
@@ -155,9 +131,8 @@ def purchase_click_asof(sf_dir: str) -> pd.DataFrame:
         return m[["purchase_id", "user_id", "purchase_ts_us",
                   "click_id", "click_ts_us", "gap_us"]]
 
-    out = (ev.map_batches(tag, batch_format="pyarrow")
-           .groupby("bucket").map_groups(bucket_asof, batch_format="pandas"))
-    return out.to_pandas()
+    return bucket_map(ev.map_batches(tag, batch_format="pyarrow"),
+                      "user_id", bucket_asof)
 
 
 def q3_shipping(sf_dir: str, segment: str = "BUILDING",
@@ -174,7 +149,7 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
     import ray
 
     cutoff_us = int(pd.Timestamp(cutoff).value // 1000)
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+    cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     def seg_keys(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -185,10 +160,10 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
                    .to_pandas()["c_custkey"].to_numpy().astype(np.int64))
     keys_ref = ray.put(keys)
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def tag_orders(t: pa.Table) -> pa.Table:
         ks = ray.get(keys_ref)
@@ -201,7 +176,6 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
             "date_us": pa.array(dt[keep]),
             "cents": pa.array(np.full(keep.sum(), -1, dtype=np.int64)),
             "side": pa.array(np.zeros(int(keep.sum()), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def tag_items(t: pa.Table) -> pa.Table:
@@ -214,7 +188,6 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
             "date_us": pa.array(np.full(len(t), -1, dtype=np.int64)),
             "cents": pa.array(cents),
             "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
@@ -225,11 +198,9 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
             revenue_cents=("cents", "sum"))
         return out
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    partial = (tagged.groupby("bucket")
-               .map_groups(bucket_join, batch_format="pandas"))
-    out = partial.to_pandas()
+    out = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                      items.map_batches(tag_items, batch_format="pyarrow")],
+                     "key", bucket_join)
     # buckets partition by orderkey, so (key, date) rows are already
     # unique across buckets — only the global top-N remains
     out = out.sort_values(["revenue_cents", "key"],
@@ -249,9 +220,9 @@ def quiet_customers(sf_dir: str,
     exchange, then a vectorized ``np.isin`` complement per bucket. The
     probe side is pre-deduplicated per batch so the exchange moves at
     most one row per distinct custkey per block, not one per order."""
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_name", "c_acctbal"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_name", "c_acctbal"])
+    orders = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def tag_cust(t: pa.Table) -> pa.Table:
         key = t.column("c_custkey").to_numpy().astype(np.int64)
@@ -262,7 +233,6 @@ def quiet_customers(sf_dir: str,
             "c_name": t.column("c_name"),
             "acctbal_cents": pa.array(cents),
             "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def tag_orders(t: pa.Table) -> pa.Table:
@@ -273,7 +243,6 @@ def quiet_customers(sf_dir: str,
             "c_name": pa.array([""] * len(key), type=pa.string()),
             "acctbal_cents": pa.array(np.zeros(len(key), dtype=np.int64)),
             "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def bucket_anti(g: pd.DataFrame) -> pd.DataFrame:
@@ -283,11 +252,10 @@ def quiet_customers(sf_dir: str,
         out = left.loc[~hit, ["key", "c_name", "acctbal_cents"]]
         return out.rename(columns={"key": "c_custkey"})
 
-    tagged = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow"))
-    out = (tagged.groupby("bucket")
-           .map_groups(bucket_anti, batch_format="pandas"))
-    return out.to_pandas()
+    return bucket_map(
+        [cust.map_batches(tag_cust, batch_format="pyarrow"),
+         orders.map_batches(tag_orders, batch_format="pyarrow")],
+        "key", bucket_anti)
 
 
 def part_supplier_revenue(sf_dir: str) -> pd.DataFrame:
@@ -325,9 +293,9 @@ def part_supplier_revenue(sf_dir: str) -> pd.DataFrame:
     s_lookup[sk] = n_lookup[s_nat]
 
     refs = ray.put((p_lookup, brand_names, s_lookup, n_names))
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                           "l_discount"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_suppkey", "l_extendedprice",
+                          "l_discount"])
 
     def agg(t: pa.Table) -> pa.Table:
         pl, bn, sl, nn = ray.get(refs)
@@ -407,11 +375,11 @@ def q5_region_supplier_volume(sf_dir: str,
                               .astype(np.int64)]
     dims_ref = ray.put((s_lookup, nat_lookup, n_in_region, n_names))
 
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                           "l_discount"])
+    cust = read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey", "l_extendedprice",
+                          "l_discount"])
 
     # ---- join #1: orders ⨝ customer on custkey (both fact-shaped)
     def tag_cust(t: pa.Table) -> pa.Table:
@@ -420,8 +388,7 @@ def q5_region_supplier_volume(sf_dir: str,
             "key": pa.array(key),
             "payload": pa.array(t.column("c_nationkey").to_numpy()
                                 .astype(np.int64)),
-            "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(t), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_custkey").to_numpy().astype(np.int64)
@@ -429,8 +396,7 @@ def q5_region_supplier_volume(sf_dir: str,
             "key": pa.array(key),
             "payload": pa.array(t.column("o_orderkey").to_numpy()
                                 .astype(np.int64)),
-            "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(t), dtype=np.int8))})
 
     def join_cust(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "payload"]].rename(
@@ -440,11 +406,10 @@ def q5_region_supplier_volume(sf_dir: str,
         m = right.merge(left, on="key")
         return m[["o_orderkey", "c_nat"]]
 
-    ord_nat = (cust.map_batches(tag_cust, batch_format="pyarrow")
-               .union(orders.map_batches(tag_orders,
-                                         batch_format="pyarrow"))
-               .groupby("bucket").map_groups(join_cust,
-                                             batch_format="pandas"))
+    ord_nat = bucket_groups(
+        [cust.map_batches(tag_cust, batch_format="pyarrow"),
+         orders.map_batches(tag_orders, batch_format="pyarrow")],
+        "key", join_cust)
 
     # ---- join #2: (orderkey, cust-nation) ⨝ lineitem on orderkey
     def tag_ordnat(t: pa.Table) -> pa.Table:
@@ -454,8 +419,7 @@ def q5_region_supplier_volume(sf_dir: str,
             "nat": pa.array(t.column("c_nat").to_numpy()
                             .astype(np.int64)),
             "cents": pa.array(np.full(len(t), -1, dtype=np.int64)),
-            "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(t), dtype=np.int8))})
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -467,8 +431,7 @@ def q5_region_supplier_volume(sf_dir: str,
             "key": pa.array(key),
             "nat": pa.array(supp_nat),    # suppkey until resolved below
             "cents": pa.array(cents),
-            "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(t), dtype=np.int8))})
 
     def join_items(g: pd.DataFrame) -> pd.DataFrame:
         sl, _nl, in_reg, names = ray.get(dims_ref)
@@ -493,11 +456,10 @@ def q5_region_supplier_volume(sf_dir: str,
             .astype(np.int64),
             "n_lines": np.bincount(inv).astype(np.int64)})
 
-    partial = (ord_nat.map_batches(tag_ordnat, batch_format="pyarrow")
-               .union(items.map_batches(tag_items, batch_format="pyarrow"))
-               .groupby("bucket").map_groups(join_items,
-                                             batch_format="pandas")
-               .to_pandas())
+    partial = bucket_map(
+        [ord_nat.map_batches(tag_ordnat, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", join_items)
     out = partial.groupby("n_name", as_index=False).agg(
         revenue_cents=("revenue_cents", "sum"),
         n_lines=("n_lines", "sum"))
@@ -525,11 +487,11 @@ def big_order_lines_bloom(sf_dir: str,
     from ..functions.hashing import mix64
 
     m_bits = 1 << 23                      # 1 MiB bitmap
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_totalprice",
-                            "o_orderpriority"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_totalprice",
+                           "o_orderpriority"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def hv(t: pa.Table) -> pa.Table:
         m = t.column("o_totalprice").to_numpy() > threshold
@@ -562,8 +524,7 @@ def big_order_lines_bloom(sf_dir: str,
             "key": pa.array(key),
             "o_orderpriority": t.column("o_orderpriority"),
             "cents": pa.array(np.full(len(t), -1, dtype=np.int64)),
-            "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(t), dtype=np.int8))})
 
     def prefilter_items(t: pa.Table) -> pa.Table:
         bits = ray.get(bloom_ref)          # zero-copy plasma read
@@ -583,8 +544,7 @@ def big_order_lines_bloom(sf_dir: str,
             "key": pa.array(key),
             "o_orderpriority": pa.array([""] * len(t), type=pa.string()),
             "cents": pa.array(cents),
-            "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(t), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "o_orderpriority"]]
@@ -593,12 +553,10 @@ def big_order_lines_bloom(sf_dir: str,
         return m.groupby("o_orderpriority", as_index=False).agg(
             revenue_cents=("cents", "sum"), n_lines=("cents", "size"))
 
-    partial = (hv_orders.map_batches(tag_hv, batch_format="pyarrow")
-               .union(items.map_batches(prefilter_items,
-                                        batch_format="pyarrow"))
-               .groupby("bucket").map_groups(bucket_join,
-                                             batch_format="pandas")
-               .to_pandas())
+    partial = bucket_map(
+        [hv_orders.map_batches(tag_hv, batch_format="pyarrow"),
+         items.map_batches(prefilter_items, batch_format="pyarrow")],
+        "key", bucket_join)
     out = partial.groupby("o_orderpriority", as_index=False).agg(
         revenue_cents=("revenue_cents", "sum"),
         n_lines=("n_lines", "sum"))
@@ -620,7 +578,7 @@ def q18_large_orders(sf_dir: str, qty_threshold: int = 250) -> pd.DataFrame:
     map-side. No fact-fact shuffle at all."""
     import ray
 
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def part_qty(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -628,22 +586,18 @@ def q18_large_orders(sf_dir: str, qty_threshold: int = 250) -> pd.DataFrame:
         ks, inv = np.unique(key, return_inverse=True)
         return pa.table({"l_orderkey": pa.array(ks),
                          "qty": pa.array(np.bincount(inv, weights=qty)
-                                         .astype(np.int64)),
-                         "bucket": pa.array((ks % _JOIN_BUCKETS)
-                                            .astype(np.int32))})
+                                         .astype(np.int64))})
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("l_orderkey", as_index=False)["qty"].sum()
         return s[s["qty"] > qty_threshold]
 
-    big = (items.map_batches(part_qty, batch_format="pyarrow")
-           .groupby("bucket").map_groups(reduce_bucket,
-                                         batch_format="pandas")
-           .to_pandas().sort_values("l_orderkey"))
+    big = (bucket_map(items.map_batches(part_qty, batch_format="pyarrow"),
+                      "l_orderkey", reduce_bucket).sort_values("l_orderkey"))
     big_keys = big["l_orderkey"].to_numpy(np.int64)
     big_qty = big["qty"].to_numpy(np.int64)
 
-    cust = (_read(sf_dir, "customer", columns=["c_custkey", "c_name"])
+    cust = (read(sf_dir, "customer", columns=["c_custkey", "c_name"])
             .to_pandas().sort_values("c_custkey"))
     cust_keys = cust["c_custkey"].to_numpy(np.int64)
     cust_names = cust["c_name"].to_numpy(object)
@@ -670,9 +624,9 @@ def q18_large_orders(sf_dir: str, qty_threshold: int = 250) -> pd.DataFrame:
                 np.floor(price * 100).astype(np.int64)),
             "sum_qty": pa.array(bq[np.searchsorted(bk, key)])})
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_totalprice",
-                            "o_orderdate"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_totalprice",
+                           "o_orderdate"])
     out = orders.map_batches(pick, batch_format="pyarrow").to_pandas()
     return out
 
@@ -695,8 +649,8 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     """
     import ray
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_quantity"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_quantity"])
 
     def part_stats(t: pa.Table) -> pa.Table:
         key = t.column("l_partkey").to_numpy().astype(np.int64)
@@ -705,8 +659,7 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "l_partkey": pa.array(ks),
             "s": pa.array(np.bincount(inv, weights=qty).astype(np.int64)),
-            "c": pa.array(np.bincount(inv).astype(np.int64)),
-            "bucket": pa.array((ks % _JOIN_BUCKETS).astype(np.int32))})
+            "c": pa.array(np.bincount(inv).astype(np.int64))})
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("l_partkey", as_index=False).agg(
@@ -715,10 +668,8 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     # bucketed reduce instead of Ray's native sort-aggregate: the
     # |parts|-cardinality key made the sort exchange the dominant cost
     # (measured ~5x) — 64 buckets × one C-level pandas sum each.
-    stats = (items.map_batches(part_stats, batch_format="pyarrow")
-             .groupby("bucket").map_groups(reduce_bucket,
-                                           batch_format="pandas")
-             .to_pandas())
+    stats = bucket_map(items.map_batches(part_stats, batch_format="pyarrow"),
+                       "l_partkey", reduce_bucket)
     pk = stats["l_partkey"].to_numpy(np.int64)
     lut_s = np.zeros(pk.max() + 1, dtype=np.int64)
     lut_c = np.zeros(pk.max() + 1, dtype=np.int64)
@@ -737,8 +688,8 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
             "revenue_cents": pa.array([int(cents.sum())], type=pa.int64()),
             "n_lines": pa.array([int(keep.sum())], type=pa.int64())})
 
-    full = _read(sf_dir, "lineitem",
-                 columns=["l_partkey", "l_quantity", "l_extendedprice"])
+    full = read(sf_dir, "lineitem",
+                columns=["l_partkey", "l_quantity", "l_extendedprice"])
     part = full.map_batches(pick, batch_format="pyarrow").to_pandas()
     return pd.DataFrame({"revenue_cents": [int(part["revenue_cents"].sum())],
                          "n_lines": [int(part["n_lines"].sum())]})
@@ -756,7 +707,7 @@ def q14_promo_revenue(sf_dir: str, year: int = 1996) -> pd.DataFrame:
     bit-for-bit."""
     import ray
 
-    part = (_read(sf_dir, "part", columns=["p_partkey", "p_type"])
+    part = (read(sf_dir, "part", columns=["p_partkey", "p_type"])
             .to_pandas())
     pk = part["p_partkey"].to_numpy(np.int64)
     promo = np.zeros(pk.max() + 1, dtype=bool)
@@ -766,9 +717,9 @@ def q14_promo_revenue(sf_dir: str, year: int = 1996) -> pd.DataFrame:
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_extendedprice", "l_discount",
-                           "l_shipdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_extendedprice", "l_discount",
+                          "l_shipdate"])
 
     def partial(t: pa.Table) -> pa.Table:
         is_promo = ray.get(ref)
@@ -806,20 +757,20 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
     moves ≤ |nations|² · years rows per bucket."""
     import ray
 
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
+    nation = read(sf_dir, "nation",
+                  columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nation["n_nationkey"].to_numpy(np.int64)
     nname = np.empty(nk.max() + 1, dtype=object)
     nname[nk] = nation["n_name"].to_numpy(object)
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
     c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
@@ -828,10 +779,10 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
     lo = np.datetime64(f"{y0}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{y1 + 1}-01-01", "us").astype(np.int64)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                           "l_discount", "l_shipdate"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey", "l_extendedprice",
+                          "l_discount", "l_shipdate"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         ship = t.column("l_shipdate").to_numpy() \
@@ -849,8 +800,7 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
             "cents": pa.array(np.floor(price * (1 - disc) * 100)
                               .astype(np.int64)),
             "year": pa.array(yr),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -860,8 +810,7 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
                             .astype(np.int64)),
             "cents": pa.array(np.full(len(key), -1, dtype=np.int64)),
             "year": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         nname_, s_nat_, c_nat_ = ray.get(ref)
@@ -887,10 +836,9 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
                             as_index=False)
                 .agg(revenue_cents=("cents", "sum")))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     out = (part.groupby(["supp_nation", "cust_nation", "year"],
                         as_index=False)
            .agg(revenue_cents=("revenue_cents", "sum")))
@@ -909,8 +857,8 @@ def q19_bracket_revenue(sf_dir: str) -> pd.DataFrame:
                 ("Brand#2", 1, 25, 10, 20),
                 ("Brand#3", 1, 35, 20, 30)]
 
-    part = (_read(sf_dir, "part",
-                  columns=["p_partkey", "p_brand", "p_size"]).to_pandas())
+    part = (read(sf_dir, "part",
+                 columns=["p_partkey", "p_brand", "p_size"]).to_pandas())
     pk = part["p_partkey"].to_numpy(np.int64)
     brands = part["p_brand"].to_numpy(object)
     size = np.zeros(pk.max() + 1, dtype=np.int64)
@@ -920,9 +868,9 @@ def q19_bracket_revenue(sf_dir: str) -> pd.DataFrame:
         bidx[pk[brands == b]] = i
     ref = ray.put((bidx, size))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_quantity", "l_extendedprice",
-                           "l_discount"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_quantity", "l_extendedprice",
+                          "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
         bidx_, size_ = ray.get(ref)
@@ -956,10 +904,10 @@ def late_shipment_priority(sf_dir: str,
     join as ``order_priority_revenue``: both fact tables tagged with
     ``orderkey % 64``, merged per bucket, partials pre-aggregated so
     the final reduce sees ≤ |priorities| rows per bucket."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderpriority", "o_orderdate"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_shipdate"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderpriority", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_shipdate"])
     lag_us = np.int64(late_days) * 86_400_000_000
 
     def tag_orders(t: pa.Table) -> pa.Table:
@@ -970,8 +918,7 @@ def late_shipment_priority(sf_dir: str,
             "key": pa.array(key),
             "o_orderpriority": t.column("o_orderpriority"),
             "ts": pa.array(od),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -981,8 +928,7 @@ def late_shipment_priority(sf_dir: str,
             "key": pa.array(key),
             "o_orderpriority": pa.array([""] * len(key), type=pa.string()),
             "ts": pa.array(sd),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "o_orderpriority", "ts"]] \
@@ -993,10 +939,9 @@ def late_shipment_priority(sf_dir: str,
         return (m.groupby("o_orderpriority", as_index=False)
                 .agg(n_late=("late", "sum"), n_lines=("late", "size")))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     out = (part.groupby("o_orderpriority", as_index=False)
            .agg(n_late=("n_late", "sum"), n_lines=("n_lines", "sum")))
     return out.astype({"n_late": "int64", "n_lines": "int64"})
@@ -1019,7 +964,7 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
     the broadcast set."""
     import ray
 
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
+    cust = read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
 
     def bal_partial(t: pa.Table) -> pa.Table:
         cents = np.floor(t.column("c_acctbal").to_numpy() * 100) \
@@ -1031,8 +976,8 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
     bal = cust.map_batches(bal_partial, batch_format="pyarrow").to_pandas()
     avg_cents = int(bal["s"].sum()) // max(int(bal["n"].sum()), 1)
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderpriority"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_custkey", "o_orderpriority"])
 
     def ck_partial(t: pa.Table) -> pa.Table:
         m = pc.equal(t.column("o_orderpriority"), "1-URGENT")
@@ -1070,9 +1015,9 @@ def q6_revenue_delta(sf_dir: str, year: int = 1996) -> pd.DataFrame:
     discount" delta), quantized to integer cents map-side."""
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_shipdate", "l_discount", "l_quantity",
-                           "l_extendedprice"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_shipdate", "l_discount", "l_quantity",
+                          "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         ship = t.column("l_shipdate").to_numpy() \
@@ -1109,11 +1054,11 @@ def q10_returned_revenue(sf_dir: str, year: int = 1996,
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_returnflag", "l_extendedprice",
-                           "l_discount"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_returnflag", "l_extendedprice",
+                          "l_discount"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         flag = t.column("l_returnflag").to_numpy(zero_copy_only=False)
@@ -1126,8 +1071,7 @@ def q10_returned_revenue(sf_dir: str, year: int = 1996,
             "aux": pa.array(np.full(len(key), -1, dtype=np.int64)),
             "cents": pa.array(np.floor(price * (1 - disc) * 100)
                               .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         od = t.column("o_orderdate").to_numpy() \
@@ -1139,8 +1083,7 @@ def q10_returned_revenue(sf_dir: str, year: int = 1996,
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)[m]),
             "cents": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "aux"]] \
@@ -1154,18 +1097,17 @@ def q10_returned_revenue(sf_dir: str, year: int = 1996,
         return (m.groupby("c_custkey", as_index=False)
                 .agg(revenue_cents=("cents", "sum")))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     agg = (part.groupby("c_custkey", as_index=False)
            .agg(revenue_cents=("revenue_cents", "sum")))
     agg = agg.sort_values(["revenue_cents", "c_custkey"],
                           ascending=[False, True],
                           kind="mergesort").head(top)
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_name"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_name"]).to_pandas()
     out = agg.merge(cust, on="c_custkey")
     return (out[["c_custkey", "c_name", "revenue_cents"]]
             .astype({"c_custkey": "int64", "revenue_cents": "int64"})
@@ -1185,15 +1127,13 @@ def q13_order_count_distribution(sf_dir: str) -> pd.DataFrame:
     row-count metadata (custkey is the PK) — no customer-table scan."""
     import pyarrow.parquet as pq_
 
-    orders = _read(sf_dir, "orders", columns=["o_custkey"])
+    orders = read(sf_dir, "orders", columns=["o_custkey"])
 
     def ck_partial(t: pa.Table) -> pa.Table:
         ck, n = np.unique(t.column("o_custkey").to_numpy()
                           .astype(np.int64), return_counts=True)
         return pa.table({"c_custkey": pa.array(ck),
-                         "n": pa.array(n.astype(np.int64)),
-                         "bk": pa.array((ck % _JOIN_BUCKETS)
-                                        .astype(np.int32))})
+                         "n": pa.array(n.astype(np.int64))})
 
     def bucket_reduce(g: pd.DataFrame) -> pd.DataFrame:
         # custkey is high-cardinality: one C-level pandas sum per
@@ -1208,10 +1148,8 @@ def q13_order_count_distribution(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"c_count": c,
                              "custdist": n.astype(np.int64)})
 
-    dist = (orders.map_batches(ck_partial, batch_format="pyarrow")
-            .groupby("bk").map_groups(bucket_reduce,
-                                      batch_format="pandas")
-            .to_pandas())
+    dist = bucket_map(orders.map_batches(ck_partial, batch_format="pyarrow"),
+                      "c_custkey", bucket_reduce)
     out = (dist.groupby("c_count", as_index=False)
            .agg(custdist=("custdist", "sum")))
 
@@ -1240,9 +1178,9 @@ def q15_top_supplier(sf_dir: str, y: int = 1996,
     hi = (np.datetime64(f"{y + 1}-01-01", "us") if hi_m > 12 else
           np.datetime64(f"{y}-{hi_m:02d}-01", "us")).astype(np.int64)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_suppkey", "l_extendedprice", "l_discount",
-                           "l_shipdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_suppkey", "l_extendedprice", "l_discount",
+                          "l_shipdate"])
 
     def partial(t: pa.Table) -> pa.Table:
         ship = t.column("l_shipdate").to_numpy() \
@@ -1265,8 +1203,8 @@ def q15_top_supplier(sf_dir: str, y: int = 1996,
     best = int(rev["total_revenue_cents"].max())
     win = rev[rev["total_revenue_cents"] == best]
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_name"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_name"]).to_pandas()
     out = win.merge(supp, on="s_suppkey")
     return (out[["s_suppkey", "s_name", "total_revenue_cents"]]
             .sort_values("s_suppkey", kind="mergesort")
@@ -1291,30 +1229,30 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
     |buckets| × |years| rows."""
     import ray
 
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name", "n_regionkey"]) \
+    nat = read(sf_dir, "nation",
+               columns=["n_nationkey", "n_name", "n_regionkey"]) \
         .to_pandas()
-    reg = _read(sf_dir, "region",
-                columns=["r_regionkey", "r_name"]).to_pandas()
+    reg = read(sf_dir, "region",
+               columns=["r_regionkey", "r_name"]).to_pandas()
     rkey = reg.loc[reg["r_name"] == region, "r_regionkey"].iloc[0]
     nkey = nat.loc[nat["n_name"] == nation, "n_nationkey"].iloc[0]
     region_nations = set(
         nat.loc[nat["n_regionkey"] == rkey, "n_nationkey"].astype(int))
 
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_type"]).to_pandas()
+    part = read(sf_dir, "part",
+                columns=["p_partkey", "p_type"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
     type_ok = np.zeros(pk.max() + 1, dtype=bool)
     type_ok[pk] = part["p_type"].to_numpy(object) == p_type
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_is_nation = np.zeros(sk.max() + 1, dtype=bool)
     s_is_nation[sk] = supp["s_nationkey"].to_numpy(np.int64) == nkey
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_in_region = np.zeros(ck.max() + 1, dtype=bool)
     c_in_region[ck] = np.isin(cust["c_nationkey"].to_numpy(np.int64),
@@ -1324,11 +1262,11 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
     lo = np.datetime64(f"{y0}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{y1 + 1}-01-01", "us").astype(np.int64)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_partkey", "l_suppkey",
-                           "l_extendedprice", "l_discount"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_partkey", "l_suppkey",
+                          "l_extendedprice", "l_discount"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         type_ok_, s_is_nation_, _ = ray.get(ref)
@@ -1345,8 +1283,7 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
                               .astype(np.int64)),
             "frn": pa.array(from_nation),
             "year": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         _, _, c_in_region_ = ray.get(ref)
@@ -1364,8 +1301,7 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
             "cents": pa.array(np.zeros(len(key), dtype=np.int64)),
             "frn": pa.array(np.zeros(len(key), dtype=bool)),
             "year": pa.array(yr),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "year"]]
@@ -1385,11 +1321,10 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
                 .agg(nation_cents=("nation_cents", "sum"),
                      total_cents=("total_cents", "sum")))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    partials = (tagged.groupby("bucket")
-                .map_groups(bucket_join, batch_format="pandas")
-                .to_pandas())
+    partials = bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join)
     out = (partials.groupby("year", as_index=False)
            .agg(nation_cents=("nation_cents", "sum"),
                 total_cents=("total_cents", "sum")))
@@ -1414,32 +1349,32 @@ def q9_nation_year_revenue(sf_dir: str,
     LUTs; buckets pre-aggregate to (nation, year) partials."""
     import ray
 
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name"]).to_pandas()
+    nat = read(sf_dir, "nation",
+               columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nat["n_nationkey"].to_numpy(np.int64)
     nname = np.empty(nk.max() + 1, dtype=object)
     nname[nk] = nat["n_name"].to_numpy(object)
 
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_name"]).to_pandas()
+    part = read(sf_dir, "part",
+                columns=["p_partkey", "p_name"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
     name_ok = np.zeros(pk.max() + 1, dtype=bool)
     name_ok[pk] = part["p_name"].str.contains(name_like,
                                               regex=False).to_numpy()
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
 
     ref = ray.put((name_ok, s_nat, nname))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_partkey", "l_suppkey",
-                           "l_extendedprice", "l_discount"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_partkey", "l_suppkey",
+                          "l_extendedprice", "l_discount"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         name_ok_, s_nat_, _ = ray.get(ref)
@@ -1455,8 +1390,7 @@ def q9_nation_year_revenue(sf_dir: str,
             "cents": pa.array(np.floor(price * (1 - disc) * 100)
                               .astype(np.int64)),
             "nid": pa.array(nid),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -1467,8 +1401,7 @@ def q9_nation_year_revenue(sf_dir: str,
             "key": pa.array(key),
             "cents": pa.array(yr),  # year rides the cents slot
             "nid": pa.array(np.full(len(key), -1, dtype=np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         _, _, nname_ = ray.get(ref)
@@ -1488,11 +1421,10 @@ def q9_nation_year_revenue(sf_dir: str,
         return (df.groupby(["nation", "year"], as_index=False)
                 .agg(revenue_cents=("cents", "sum")))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    partials = (tagged.groupby("bucket")
-                .map_groups(bucket_join, batch_format="pandas")
-                .to_pandas())
+    partials = bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join)
     out = (partials.groupby(["nation", "year"], as_index=False)
            .agg(revenue_cents=("revenue_cents", "sum")))
     return (out.sort_values(["nation", "year"], kind="mergesort")
@@ -1518,14 +1450,14 @@ def q2_min_cost_supplier(sf_dir: str, max_size: int = 10) -> pd.DataFrame:
     total."""
     import ray
 
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_size"]).to_pandas()
+    part = read(sf_dir, "part", columns=["p_partkey", "p_size"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
     keep = np.zeros(pk.max() + 1, dtype=bool)
     keep[pk] = part["p_size"].to_numpy(np.int64) <= max_size
     keep_ref = ray.put(keep)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_suppkey", "l_extendedprice"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         keep_ = ray.get(keep_ref)
@@ -1541,8 +1473,6 @@ def q2_min_cost_supplier(sf_dir: str, max_size: int = 10) -> pd.DataFrame:
             "p": pa.array(g["p"].to_numpy(np.int64)),
             "s": pa.array(g["s"].to_numpy(np.int64)),
             "c": pa.array(g["c"].to_numpy(np.int64)),
-            "bucket": pa.array(
-                (g["p"].to_numpy(np.int64) % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -1555,12 +1485,11 @@ def q2_min_cost_supplier(sf_dir: str, max_size: int = 10) -> pd.DataFrame:
                                                  c=("c", "min"))
         return out[["p", "s", "c"]]
 
-    rows = (items.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(resolve, batch_format="pandas")
-            .to_pandas())
+    rows = bucket_map(items.map_batches(partial, batch_format="pyarrow"),
+                      "p", resolve)
 
-    sup = _read(sf_dir, "supplier",
-                columns=["s_suppkey", "s_name"]).to_pandas()
+    sup = read(sf_dir, "supplier",
+               columns=["s_suppkey", "s_name"]).to_pandas()
     names = np.empty(sup["s_suppkey"].to_numpy(np.int64).max() + 1,
                      dtype=object)
     names[sup["s_suppkey"].to_numpy(np.int64)] = \
@@ -1590,9 +1519,9 @@ def q4_priority_with_bulk_line(sf_dir: str, year: int = 1997,
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def tag_orders(t: pa.Table) -> pa.Table:
         od = t.column("o_orderdate").to_numpy() \
@@ -1603,8 +1532,7 @@ def q4_priority_with_bulk_line(sf_dir: str, year: int = 1997,
             "key": pa.array(key),
             "pri": pc.array_filter(t.column("o_orderpriority"),
                                    pa.array(m)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def tag_items(t: pa.Table) -> pa.Table:
         qty = t.column("l_quantity").to_numpy()
@@ -1613,8 +1541,7 @@ def q4_priority_with_bulk_line(sf_dir: str, year: int = 1997,
         return pa.table({
             "key": pa.array(key),
             "pri": pa.array([""] * len(key), type=pa.string()),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def bucket_semi(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0]
@@ -1622,10 +1549,9 @@ def q4_priority_with_bulk_line(sf_dir: str, year: int = 1997,
         return hits.groupby("pri", as_index=False).agg(
             n_orders=("key", "size"))
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_semi, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_semi)
     out = part.groupby("pri", as_index=False).agg(
         n_orders=("n_orders", "sum")).rename(
             columns={"pri": "o_orderpriority"})
@@ -1648,15 +1574,15 @@ def q11_important_parts(sf_dir: str, nationkey: int = 3,
     second pass over the fact table."""
     import ray
 
-    sup = _read(sf_dir, "supplier",
-                columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    sup = read(sf_dir, "supplier",
+               columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = sup["s_suppkey"].to_numpy(np.int64)
     in_nation = np.zeros(sk.max() + 1, dtype=bool)
     in_nation[sk] = sup["s_nationkey"].to_numpy(np.int64) == nationkey
     ref = ray.put(in_nation)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_suppkey", "l_extendedprice"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         in_n = ray.get(ref)
@@ -1668,16 +1594,13 @@ def q11_important_parts(sf_dir: str, nationkey: int = 3,
         ks, inv = np.unique(key, return_inverse=True)
         return pa.table({
             "p": pa.array(ks),
-            "v": pa.array(np.bincount(inv, weights=cents).astype(np.int64)),
-            "bucket": pa.array((ks % _JOIN_BUCKETS).astype(np.int32))})
+            "v": pa.array(np.bincount(inv, weights=cents).astype(np.int64))})
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("p", as_index=False).agg(v=("v", "sum"))
 
-    vals = (items.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(reduce_bucket,
-                                          batch_format="pandas")
-            .to_pandas())
+    vals = bucket_map(items.map_batches(partial, batch_format="pyarrow"),
+                      "p", reduce_bucket)
     total = int(vals["v"].sum())
     keep = vals["v"].to_numpy(np.int64) * 1_000_000 > total * share_ppm
     out = pd.DataFrame({
@@ -1708,10 +1631,10 @@ def q12_shipmode_priority(sf_dir: str, year: int = 1996,
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
     flagset = list(flags)
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderpriority"])
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_returnflag", "l_shipdate"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderpriority"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_returnflag", "l_shipdate"])
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -1721,8 +1644,7 @@ def q12_shipmode_priority(sf_dir: str, year: int = 1996,
             "key": pa.array(key),
             "flag": pa.array([""] * len(key), type=pa.string()),
             "hi": pa.array(is_hi),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def tag_items(t: pa.Table) -> pa.Table:
         sd = t.column("l_shipdate").to_numpy() \
@@ -1734,8 +1656,7 @@ def q12_shipmode_priority(sf_dir: str, year: int = 1996,
             "key": pa.array(key),
             "flag": pa.array(fl[m]),
             "hi": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pa.Table:
         lines = g[g["side"] == 1]
@@ -1756,10 +1677,9 @@ def q12_shipmode_priority(sf_dir: str, year: int = 1996,
                                                  "n": "int64"}),
                                     preserve_index=False)
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     out = part.groupby("flag", as_index=False).agg(
         high_line_count=("high", "sum"), n=("n", "sum"))
     out["low_line_count"] = out["n"] - out["high_line_count"]
@@ -1789,8 +1709,8 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
     6× slower — measured 9.6 s vs 1.5 s at sf0.1.)"""
     import ray
 
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_brand", "p_type"]).to_pandas()
+    part = read(sf_dir, "part",
+                columns=["p_partkey", "p_brand", "p_type"]).to_pandas()
     bt = (part["p_brand"].astype(str) + "\x1f" + part["p_type"]
           .astype(str))
     codes_s, uniq_bt = pd.factorize(bt, sort=True)
@@ -1798,14 +1718,14 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
     code_of_part = np.full(pk.max() + 1, -1, dtype=np.int64)
     code_of_part[pk] = codes_s.astype(np.int64)
 
-    sup = _read(sf_dir, "supplier",
-                columns=["s_suppkey", "s_acctbal"]).to_pandas()
+    sup = read(sf_dir, "supplier",
+               columns=["s_suppkey", "s_acctbal"]).to_pandas()
     sk = sup["s_suppkey"].to_numpy(np.int64)
     bad = np.zeros(sk.max() + 1, dtype=bool)
     bad[sk] = sup["s_acctbal"].to_numpy() < 0
     ref = ray.put((code_of_part, bad))
 
-    items = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
+    items = read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def keys(t: pa.Table) -> pa.Table:
         code_, bad_ = ray.get(ref)
@@ -1814,8 +1734,7 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
         code = code_[t.column("l_partkey").to_numpy().astype(np.int64)[m]]
         key = np.unique((code << 32) | supk[m])
         return pa.table({
-            "key": pa.array(key),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "key": pa.array(key)})
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         key = np.unique(g["key"].to_numpy(np.int64))
@@ -1823,10 +1742,8 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"code": code,
                              "supplier_cnt": cnt.astype(np.int64)})
 
-    partial = (items.map_batches(keys, batch_format="pyarrow")
-               .groupby("bucket").map_groups(count_bucket,
-                                             batch_format="pandas")
-               .to_pandas())
+    partial = bucket_map(items.map_batches(keys, batch_format="pyarrow"),
+                         "key", count_bucket)
     agg = partial.groupby("code", as_index=False)["supplier_cnt"].sum()
     pair = uniq_bt[agg["code"].to_numpy(np.int64)].str.split("\x1f")
     out = pd.DataFrame({
@@ -1849,8 +1766,8 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     comparison inside each bucket; qualifying suppkeys are deduped in
     the same pass (per-bucket distinct), so the driver only ever sees
     ≤|suppliers| rows; names come from a dimension broadcast."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_suppkey", "l_quantity"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(t: pa.Table) -> pa.Table:
         key = t.column("l_partkey").to_numpy().astype(np.int64)
@@ -1862,8 +1779,6 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
             "p": pa.array(g["p"].to_numpy(np.int64)),
             "s": pa.array(g["s"].to_numpy(np.int64)),
             "q": pa.array(g["q"].to_numpy(np.int64)),
-            "bucket": pa.array(
-                (g["p"].to_numpy(np.int64) % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def dominant(g: pd.DataFrame) -> pd.DataFrame:
@@ -1874,17 +1789,16 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         win = m.loc[5 * m["q"] > m["tq"], ["s"]].drop_duplicates()
         return win
 
-    rows = (items.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(dominant, batch_format="pandas")
-            .to_pandas())
+    rows = bucket_map(items.map_batches(partial, batch_format="pyarrow"),
+                      "p", dominant)
     if rows.empty or "s" not in rows.columns:
         # all buckets empty: Ray returns a schemaless empty frame
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object)})
     supk = np.unique(rows["s"].to_numpy(np.int64))
 
-    sup = _read(sf_dir, "supplier",
-                columns=["s_suppkey", "s_name"]).to_pandas()
+    sup = read(sf_dir, "supplier",
+               columns=["s_suppkey", "s_name"]).to_pandas()
     names = np.empty(sup["s_suppkey"].to_numpy(np.int64).max() + 1,
                      dtype=object)
     names[sup["s_suppkey"].to_numpy(np.int64)] = \
@@ -1906,8 +1820,8 @@ def q21_blocking_suppliers(sf_dir: str, topn: int = 20) -> pd.DataFrame:
     the per-supplier count is a tiny final aggregate. The EXISTS /
     NOT-EXISTS pair never materializes a join — it is an order-local
     predicate, which is the whole trick."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey", "l_shipdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey", "l_shipdate"])
 
     def partial(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -1920,8 +1834,6 @@ def q21_blocking_suppliers(sf_dir: str, topn: int = 20) -> pd.DataFrame:
             "o": pa.array(g["o"].to_numpy(np.int64)),
             "s": pa.array(g["s"].to_numpy(np.int64)),
             "ms": pa.array(g["ms"].to_numpy(np.int64)),
-            "bucket": pa.array(
-                (g["o"].to_numpy(np.int64) % _JOIN_BUCKETS).astype(np.int32)),
         })
 
     def blockers(g: pd.DataFrame) -> pd.DataFrame:
@@ -1934,14 +1846,13 @@ def q21_blocking_suppliers(sf_dir: str, topn: int = 20) -> pd.DataFrame:
         win = atmax[(nmax == 1) & (atmax["nsup"] >= 2)]
         return win.groupby("s", as_index=False).agg(n_orders=("o", "size"))
 
-    part = (items.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(blockers, batch_format="pandas")
-            .to_pandas())
+    part = bucket_map(items.map_batches(partial, batch_format="pyarrow"),
+                      "o", blockers)
     out = part.groupby("s", as_index=False).agg(
         n_orders=("n_orders", "sum"))
 
-    sup = _read(sf_dir, "supplier",
-                columns=["s_suppkey", "s_name"]).to_pandas()
+    sup = read(sf_dir, "supplier",
+               columns=["s_suppkey", "s_name"]).to_pandas()
     names = np.empty(sup["s_suppkey"].to_numpy(np.int64).max() + 1,
                      dtype=object)
     names[sup["s_suppkey"].to_numpy(np.int64)] = \
@@ -1967,8 +1878,8 @@ def crm_spend_reconciliation(sf_dir: str,
     and a vectorized pandas ``merge(how="outer")`` per bucket emits
     matched rows and both orphan kinds — outer-ness is bucket-local
     because the bucket function is total on the key."""
-    crm = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
-    ev = _read(sf_dir, "events", columns=["user_id", "value"])
+    crm = read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
+    ev = read(sf_dir, "events", columns=["user_id", "value"])
 
     def tag_crm(t: pa.Table) -> pa.Table:
         bal = t.column("c_acctbal").to_numpy()
@@ -1978,8 +1889,7 @@ def crm_spend_reconciliation(sf_dir: str,
         return pa.table({
             "key": pa.array(key),
             "v": pa.array(cents),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def tag_spend(t: pa.Table) -> pa.Table:
         key = t.column("user_id").to_numpy().astype(np.int64)
@@ -1990,8 +1900,7 @@ def crm_spend_reconciliation(sf_dir: str,
         return pa.table({
             "key": pa.array(ks),
             "v": pa.array(s),
-            "side": pa.array(np.ones(len(ks), dtype=np.int8)),
-            "bucket": pa.array((ks % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(ks), dtype=np.int8))})
 
     def outer(g: pd.DataFrame) -> pd.DataFrame:
         crm_ = g[g["side"] == 0][["key", "v"]].rename(
@@ -2009,11 +1918,9 @@ def crm_spend_reconciliation(sf_dir: str,
             "spend_cents": m["spend_cents"].fillna(-1).to_numpy(np.int64),
             "status": status})
 
-    tagged = crm.map_batches(tag_crm, batch_format="pyarrow").union(
-        ev.map_batches(tag_spend, batch_format="pyarrow"))
-    out = (tagged.groupby("bucket").map_groups(outer,
-                                               batch_format="pandas")
-           .to_pandas())
+    out = bucket_map([crm.map_batches(tag_crm, batch_format="pyarrow"),
+                      ev.map_batches(tag_spend, batch_format="pyarrow")],
+                     "key", outer)
     return (out.sort_values("key", kind="mergesort")
             .reset_index(drop=True)
             .astype({"key": "int64", "acctbal_cents": "int64",
@@ -2027,8 +1934,8 @@ def orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     block); the monthly series is tiny, so the LAG resolves on the
     driver — exactly where a series of |months| rows belongs at any
     data scale."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderdate", "o_totalprice"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderdate", "o_totalprice"])
 
     def derive(t: pa.Table) -> pa.Table:
         od = t.column("o_orderdate").to_numpy().astype("datetime64[M]")
@@ -2069,8 +1976,8 @@ def customer_rfm(sf_dir: str) -> pd.DataFrame:
     rankings run on the driver with ``np.lexsort`` — at a scale where
     they don't fit, each becomes a distributed sort + per-block offset
     scan (same total order, same formula)."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderdate", "o_totalprice"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         ck = t.column("o_custkey").to_numpy().astype(np.int64)
@@ -2087,18 +1994,15 @@ def customer_rfm(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(ks),
             "last_day": pa.array(last),
             "n_orders": pa.array(np.bincount(inv).astype(np.int64)),
-            "spend": pa.array(spend),
-            "bucket": pa.array((ks % _JOIN_BUCKETS).astype(np.int32))})
+            "spend": pa.array(spend)})
 
     def reduce_c(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("c", as_index=False).agg(
             last_day=("last_day", "max"), n_orders=("n_orders", "sum"),
             spend=("spend", "sum"))
 
-    cust = (orders.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(reduce_c,
-                                          batch_format="pandas")
-            .to_pandas())
+    cust = bucket_map(orders.map_batches(partial, batch_format="pyarrow"),
+                      "c", reduce_c)
     ck = cust["c"].to_numpy(np.int64)
     n = len(cust)
     max_day = int(cust["last_day"].max())
@@ -2141,7 +2045,7 @@ def orders_retention_cohort(sf_dir: str) -> pd.DataFrame:
     Months are encoded as (year*12 + month_index) so 'months since
     first' is integer subtraction — identical arithmetic in the SQL
     twin."""
-    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
+    ds = read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
     def derive(t: pa.Table) -> pa.Table:
         ts = t.column("o_orderdate").cast(pa.int64()).to_numpy()
@@ -2154,11 +2058,7 @@ def orders_retention_cohort(sf_dir: str) -> pd.DataFrame:
             ["c", "m"], as_index=False).size()
         return pa.table({
             "c": pa.array(g["c"].to_numpy(np.int64)),
-            "m": pa.array(g["m"].to_numpy(np.int64)),
-            "bucket": pa.array((g["c"].to_numpy(np.int64)
-                                % _JOIN_BUCKETS).astype(np.int32))})
-
-    pairs = ds.map_batches(derive, batch_format="pyarrow")
+            "m": pa.array(g["m"].to_numpy(np.int64))})
 
     def cohort_fold(g: pd.DataFrame) -> pa.Table:
         # Arrow output — pandas blocks would put the next groupby on
@@ -2172,8 +2072,8 @@ def orders_retention_cohort(sf_dir: str) -> pd.DataFrame:
                .agg(n_customers=("c", "size")))
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    part = (pairs.groupby("bucket")
-            .map_groups(cohort_fold, batch_format="pandas"))
+    part = bucket_groups(ds.map_batches(derive, batch_format="pyarrow"),
+                         "c", cohort_fold)
     out = (part.groupby(["m0", "delta"])
            .aggregate(Sum("n_customers", alias_name="n_customers"))
            .to_pandas()
@@ -2201,7 +2101,7 @@ def part_pair_support(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
     input (k lines → k(k-1)/2 ≤ 21 pairs); a pathological mega-basket
     would be capped or salted before expansion. SQL twin: distinct
     self-join on orderkey with a < b, GROUP BY HAVING."""
-    ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    ds = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def derive(t: pa.Table) -> pa.Table:
         g = pd.DataFrame({
@@ -2210,9 +2110,7 @@ def part_pair_support(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
         }).drop_duplicates()
         return pa.table({
             "o": pa.array(g["o"].to_numpy()),
-            "p": pa.array(g["p"].to_numpy()),
-            "bucket": pa.array((g["o"].to_numpy()
-                                % _JOIN_BUCKETS).astype(np.int32))})
+            "p": pa.array(g["p"].to_numpy())})
 
     def pairs(g: pd.DataFrame) -> pa.Table:
         # returns an ARROW table: a pandas-block output feeding the next
@@ -2233,29 +2131,27 @@ def part_pair_support(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
             d += 1
         if not a_parts:
             return pa.table({"pair": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "rbucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         out = pd.DataFrame({"pair": np.concatenate(a_parts) * (1 << 32)
                             + np.concatenate(b_parts)})
         out = out.groupby("pair", as_index=False).size() \
             .rename(columns={"size": "n"})
-        # single int64 pair key + bucketed reduce: Ray's multi-key
-        # aggregate pays per GROUP, and distinct pairs are near
-        # input-sized here — 64 map_groups with one vectorized pandas
-        # reduce each fold the same data ~20× faster (same pattern as
-        # dedup.ngram_top_pairs)
-        out["rbucket"] = (out["pair"] % _JOIN_BUCKETS).astype(np.int32)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def reduce_pairs(g: pd.DataFrame) -> pa.Table:
         out = g.groupby("pair", as_index=False)["n"].sum()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    part = (ds.map_batches(derive, batch_format="pyarrow")
-            .groupby("bucket").map_groups(pairs, batch_format="pandas")
-            .groupby("rbucket").map_groups(reduce_pairs,
-                                           batch_format="pandas"))
-    out = part.to_pandas().rename(columns={"n": "support"})
+    # single int64 pair key + bucketed reduce: Ray's multi-key
+    # aggregate pays per GROUP, and distinct pairs are near
+    # input-sized here — 64 map_groups with one vectorized pandas
+    # reduce each fold the same data ~20× faster (same pattern as
+    # dedup.ngram_top_pairs)
+    part = bucket_map(
+        bucket_groups(ds.map_batches(derive, batch_format="pyarrow"),
+                      "o", pairs),
+        "pair", reduce_pairs)
+    out = part.rename(columns={"n": "support"})
     out = out[out["support"] >= min_support]
     pair = out["pair"].to_numpy(np.int64)
     out = pd.DataFrame({"part_a": pair >> 32,
@@ -2291,8 +2187,8 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
     Jaccard is ONE float64 division of exact int64 counts on both
     sides, so the SQL twin matches bit-exactly; tie-break
     (jaccard DESC, cust_a, cust_b) pins the top-n cut."""
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -2300,8 +2196,7 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
             "key": pa.array(key),
             "val": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(t), dtype=np.int8))})
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -2309,8 +2204,7 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
             "key": pa.array(key),
             "val": pa.array(t.column("l_partkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(t), dtype=np.int8))})
 
     def purchase_join(g: pd.DataFrame) -> pa.Table:
         # Arrow output: pandas blocks into the next groupby put the
@@ -2325,7 +2219,7 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
         return pa.table({
             "cp": pa.array(cp),
             "pbucket": pa.array((m["p"].to_numpy(np.int64)
-                                 % _JOIN_BUCKETS).astype(np.int32))})
+                                 % BUCKETS).astype(np.int32))})
 
     def dedup_cp(g: pd.DataFrame) -> pa.Table:
         cp = np.unique(g["cp"].to_numpy(np.int64))
@@ -2344,14 +2238,12 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
     # the pair expansion and the set-size fold consume it, and an
     # unmaterialized Dataset re-executes its whole upstream per
     # consumer.
-    purchases = (orders.map_batches(tag_orders, batch_format="pyarrow")
-                 .union(items.map_batches(tag_items,
-                                          batch_format="pyarrow"))
-                 .groupby("bucket")
-                 .map_groups(purchase_join, batch_format="pandas")
-                 .groupby("pbucket")
-                 .map_groups(dedup_cp, batch_format="pandas")
-                 .materialize())
+    purchases = (bucket_groups(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", purchase_join)
+        .groupby("pbucket").map_groups(dedup_cp, batch_format="pandas")
+        .materialize())
 
     def cust_pairs(g: pd.DataFrame) -> pa.Table:
         g = (g.drop_duplicates(["p", "c"])
@@ -2369,17 +2261,11 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
             d += 1
         if not a_c:
             return pa.table({"pair": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "rbucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         out = pd.DataFrame({"pair": np.concatenate(a_c) * (1 << 32)
                             + np.concatenate(b_c)})
         out = out.groupby("pair", as_index=False).size() \
             .rename(columns={"size": "n"})
-        # single int64 pair key + bucketed reduce: distinct customer
-        # pairs are near input-sized, and Ray's multi-key aggregate
-        # pays per group — 64 vectorized pandas reduces fold the same
-        # data ~20× faster (same pattern as dedup.ngram_top_pairs)
-        out["rbucket"] = (out["pair"] % _JOIN_BUCKETS).astype(np.int32)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def reduce_pairs(g: pd.DataFrame) -> pa.Table:
@@ -2387,16 +2273,20 @@ def customer_part_jaccard(sf_dir: str, topn: int = 50) -> pd.DataFrame:
             .rename(columns={"n": "n_common"})
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    inter = (purchases.groupby("pbucket")
-             .map_groups(cust_pairs, batch_format="pandas")
-             .groupby("rbucket")
-             .map_groups(reduce_pairs, batch_format="pandas"))
+    # single int64 pair key + bucketed reduce: distinct customer pairs
+    # are near input-sized, and Ray's multi-key aggregate pays per
+    # group — 64 vectorized pandas reduces fold the same data ~20×
+    # faster (same pattern as dedup.ngram_top_pairs)
+    inter = bucket_groups(
+        purchases.groupby("pbucket").map_groups(cust_pairs,
+                                                batch_format="pandas"),
+        "pair", reduce_pairs)
 
     # Set sizes are customer-dimension-sized, so fold them as fixed-size
     # dense bincount partials (one vector per block, summed on the
     # driver) instead of a Ray groupby — the aggregate pays ~60 µs per
     # group, which is 3.7 s for 15k customers vs 0.2 s for this fold.
-    n_cust = int(_read(sf_dir, "customer", columns=["c_custkey"])
+    n_cust = int(read(sf_dir, "customer", columns=["c_custkey"])
                  .max("c_custkey"))
 
     def size_partial(t: pa.Table) -> pa.Table:
@@ -2458,9 +2348,9 @@ def purchase_attribution(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     searches, and the per-click fold is a difference-array + cumsum —
     no per-purchase loop, per-bucket memory |events|/B. Skewed users
     salt like hot hosts in the politeness scheduler."""
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type",
-                        "value"])
+    ev = read(sf_dir, "events",
+              columns=["event_id", "ts", "user_id", "event_type",
+                       "value"])
     W = window_days * 86_400_000_000
 
     def tag(t: pa.Table) -> pa.Table:
@@ -2477,8 +2367,7 @@ def purchase_attribution(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
             "ts_us": t.column("ts").cast(pa.int64()),
             "user_id": pa.array(uid),
             "side": pa.array(side),
-            "cents": pa.array(cents),
-            "bucket": pa.array((uid % _JOIN_BUCKETS).astype(np.int32))})
+            "cents": pa.array(cents)})
 
     def attrib(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2518,9 +2407,8 @@ def purchase_attribution(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
                              "user_id": cu[keep],
                              "attributed_micros": att[keep]})
 
-    out = (ev.map_batches(tag, batch_format="pyarrow")
-           .groupby("bucket").map_groups(attrib, batch_format="pandas")
-           .to_pandas())
+    out = bucket_map(ev.map_batches(tag, batch_format="pyarrow"),
+                     "user_id", attrib)
     return (out.sort_values("click_id", kind="mergesort")
             .reset_index(drop=True)
             .astype({"click_id": "int64", "user_id": "int64",
@@ -2542,24 +2430,25 @@ def part_substitutes(sf_dir: str) -> pd.DataFrame:
     partkey within the sorted segment) with both prices."""
     import hashlib
 
-    ds = _read(sf_dir, "part",
-               columns=["p_partkey", "p_type", "p_size",
-                        "p_retailprice"])
+    ds = read(sf_dir, "part",
+              columns=["p_partkey", "p_type", "p_size",
+                       "p_retailprice"])
 
     def derive(t: pa.Table) -> pa.Table:
         types = t.column("p_type").to_pylist()
         sizes = t.column("p_size").to_numpy(zero_copy_only=False)
         blk = [f"{a}|{int(b)}" for a, b in zip(types, sizes)]
-        kh = np.array([int.from_bytes(
-            hashlib.md5(k.encode()).digest()[:8], "little") & ((1 << 62) - 1)
-            for k in blk], dtype=np.int64)
         cents = np.floor(t.column("p_retailprice").to_numpy() * 100) \
             .astype(np.int64)
         return pa.table({
             "p_partkey": t.column("p_partkey"),
             "blk": pa.array(blk),
-            "cents": pa.array(cents),
-            "bucket": pa.array((kh % 64).astype(np.int32))})
+            "cents": pa.array(cents)})
+
+    def blk_hash(t: pa.Table) -> np.ndarray:
+        return np.array([int.from_bytes(
+            hashlib.md5(k.encode()).digest()[:8], "little") & ((1 << 62) - 1)
+            for k in t.column("blk").to_pylist()], dtype=np.int64)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"p1": pd.array([], dtype="int64"),
@@ -2592,9 +2481,8 @@ def part_substitutes(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"p1": pk[a][keep], "p2": pk[b][keep],
                              "c1": ca[keep], "c2": cb[keep]})
 
-    out = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(pairs, batch_format="pandas")
-           .to_pandas())
+    out = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                     blk_hash, pairs)
     return (out.sort_values(["p1", "p2"], kind="mergesort")
             .reset_index(drop=True)
             .astype({c: "int64" for c in out.columns}))
@@ -2620,16 +2508,13 @@ def part_triple_support(sf_dir: str, topn: int = 100) -> pd.DataFrame:
     expansion. SQL twin: distinct triple self-join, GROUP BY, LIMIT."""
     from itertools import combinations
 
-    ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    ds = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def derive(t: pa.Table) -> pa.Table:
         o = t.column("l_orderkey").to_numpy().astype(np.int64)
         p = t.column("l_partkey").to_numpy().astype(np.int64)
         pk = np.unique(o * (1 << 21) + p)
-        return pa.table({
-            "pk": pa.array(pk),
-            "bucket": pa.array(((pk >> 21) % _JOIN_BUCKETS)
-                               .astype(np.int32))})
+        return pa.table({"pk": pa.array(pk)})
 
     def triples(g: pd.DataFrame) -> pa.Table:
         pk = np.unique(g["pk"].to_numpy(np.int64))  # cross-block dedup
@@ -2649,12 +2534,10 @@ def part_triple_support(sf_dir: str, topn: int = 100) -> pd.DataFrame:
                          + mat[:, comb[:, 2]]).ravel())
         if not outs:
             return pa.table({"triple": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "rbucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         tri, cnt = np.unique(np.concatenate(outs), return_counts=True)
-        return pa.table({
-            "triple": pa.array(tri), "n": pa.array(cnt.astype(np.int64)),
-            "rbucket": pa.array((tri % _JOIN_BUCKETS).astype(np.int32))})
+        return pa.table({"triple": pa.array(tri),
+                         "n": pa.array(cnt.astype(np.int64))})
 
     def reduce_top(g: pd.DataFrame) -> pa.Table:
         out = g.groupby("triple", as_index=False)["n"].sum()
@@ -2665,11 +2548,10 @@ def part_triple_support(sf_dir: str, topn: int = 100) -> pd.DataFrame:
                               kind="mergesort").head(topn)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    out = (ds.map_batches(derive, batch_format="pyarrow")
-           .groupby("bucket").map_groups(triples, batch_format="pandas")
-           .groupby("rbucket").map_groups(reduce_top,
-                                          batch_format="pandas")
-           .to_pandas())
+    out = bucket_map(
+        bucket_groups(ds.map_batches(derive, batch_format="pyarrow"),
+                      lambda t: t.column("pk").to_numpy() >> 21, triples),
+        "triple", reduce_top)
     out = out.sort_values(["n", "triple"], ascending=[False, True],
                           kind="mergesort").head(topn)
     tri = out["triple"].to_numpy(np.int64)
@@ -2694,8 +2576,8 @@ def orders_open_backlog(sf_dir: str) -> pd.DataFrame:
     B fixed-width day vectors and one cumsum yields the curve. Day
     bounds come from a tiny metadata-sized partial pass. SQL twin:
     generate_series day spine LEFT JOIN BETWEEN."""
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
     DAY_US = 86_400_000_000
 
     def ship_part(t: pa.Table) -> pa.Table:
@@ -2706,16 +2588,14 @@ def orders_open_backlog(sf_dir: str) -> pd.DataFrame:
         np.maximum.at(mx, inv, d)
         return pa.table({
             "ok": pa.array(uk), "day": pa.array(mx),
-            "side": pa.array(np.zeros(len(uk), dtype=np.int8)),
-            "bucket": pa.array((uk % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(uk), dtype=np.int8))})
 
     def order_part(t: pa.Table) -> pa.Table:
         o = t.column("o_orderkey").to_numpy().astype(np.int64)
         d = t.column("o_orderdate").cast(pa.int64()).to_numpy() // DAY_US
         return pa.table({
             "ok": pa.array(o), "day": pa.array(d),
-            "side": pa.array(np.ones(len(o), dtype=np.int8)),
-            "bucket": pa.array((o % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(o), dtype=np.int8))})
 
     both = (items.map_batches(ship_part, batch_format="pyarrow")
             .union(orders.map_batches(order_part, batch_format="pyarrow"))
@@ -2748,8 +2628,7 @@ def orders_open_backlog(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"day_off": np.arange(nd, dtype=np.int64),
                              "d": diff[:nd]})
 
-    parts = (both.groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(both, "ok", fold)
     agg = parts.groupby("day_off", as_index=False)["d"].sum()
     return pd.DataFrame({
         "day_id": agg["day_off"].to_numpy(np.int64) + day_lo,
@@ -2766,9 +2645,9 @@ def orders_pivot_priority(sf_dir: str) -> pd.DataFrame:
     operator needed at any scale because the OUTPUT is small by
     construction. SQL twin: conditional aggregation (the portable
     PIVOT encoding)."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderdate", "o_orderpriority",
-                        "o_totalprice"])
+    ds = read(sf_dir, "orders",
+              columns=["o_orderdate", "o_orderpriority",
+                       "o_totalprice"])
     prios = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED",
              "5-LOW"]
 
@@ -2822,8 +2701,8 @@ def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
                                  nat.column("n_regionkey").to_numpy(),
                                  nat.column("n_name").to_pylist())}
 
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    cust = read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    orders = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def tag_cust(t: pa.Table) -> pa.Table:
         key = t.column("c_custkey").to_numpy().astype(np.int64)
@@ -2831,8 +2710,7 @@ def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "val": pa.array(t.column("c_nationkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(t), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_custkey").to_numpy().astype(np.int64)
@@ -2841,8 +2719,7 @@ def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(key),
             "val": pa.array(cents),
-            "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(t), dtype=np.int8))})
 
     def join_fold(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "val"]].rename(
@@ -2854,12 +2731,10 @@ def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
                 .agg(revenue_cents=("cents", "sum"),
                      n_orders=("cents", "size")))
 
-    parts = (cust.map_batches(tag_cust, batch_format="pyarrow")
-             .union(orders.map_batches(tag_orders,
-                                       batch_format="pyarrow"))
-             .groupby("bucket").map_groups(join_fold,
-                                           batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(
+        [cust.map_batches(tag_cust, batch_format="pyarrow"),
+         orders.map_batches(tag_orders, batch_format="pyarrow")],
+        "key", join_fold)
     fine = parts.groupby("nat", as_index=False).sum()
     fine["region"] = [nmap[int(k)][0] for k in fine["nat"]]
     fine["nation"] = [nmap[int(k)][1] for k in fine["nat"]]
@@ -2883,7 +2758,7 @@ def orders_dow_effect(sf_dir: str) -> pd.DataFrame:
     revenue, revenue share and the lift vs a uniform week in exact
     basis points. Constant-size per-block partials (7 cells), zero
     shuffle. SQL twin: the same integer dow expression."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
+    ds = read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         days = (t.column("o_orderdate").cast(pa.int64()).to_numpy()
@@ -2922,8 +2797,8 @@ def order_flag_signature(sf_dir: str) -> pd.DataFrame:
     pattern-cardinality partial (≤ 3^max_lines distinct), and only the
     driver decodes the bounded set of packed values back to strings.
     SQL twin: STRING_AGG(ORDER BY) + GROUP BY."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_linenumber", "l_returnflag"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_linenumber", "l_returnflag"])
     flags = np.array(["A", "N", "R"])
 
     def derive(t: pa.Table) -> pa.Table:
@@ -2931,8 +2806,7 @@ def order_flag_signature(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "ok": pa.array(ok),
             "ln": t.column("l_linenumber").cast(pa.int64()),
-            "fl": t.column("l_returnflag"),
-            "bucket": pa.array((ok % 64).astype(np.int32))})
+            "fl": t.column("l_returnflag")})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         ok = g["ok"].to_numpy(np.int64)
@@ -2952,9 +2826,8 @@ def order_flag_signature(sf_dir: str) -> pd.DataFrame:
         u, c = np.unique(packed, return_counts=True)
         return pd.DataFrame({"packed": u, "n_orders": c.astype(np.int64)})
 
-    parts = (items.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(items.map_batches(derive, batch_format="pyarrow"),
+                       "ok", fold)
     agg = parts.groupby("packed", as_index=False)["n_orders"].sum()
 
     def decode(p: int) -> str:
@@ -2986,27 +2859,27 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
     (zero-filled), mirroring the twin's LEFT JOIN from the dimension."""
     import ray
 
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
+    nation = read(sf_dir, "nation",
+                  columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nation["n_nationkey"].to_numpy(np.int64)
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
     c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
 
     ref = ray.put((s_nat, c_nat))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey", "l_extendedprice"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey", "l_extendedprice"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3017,8 +2890,7 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
             "cents": pa.array(
                 np.floor(t.column("l_extendedprice").to_numpy() * 100)
                 .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3027,8 +2899,7 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
             "cents": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     nmax = int(nk.max()) + 1
 
@@ -3053,10 +2924,9 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
             "im": np.bincount(cn, weights=cents, minlength=nmax)
             .astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     agg = part.groupby("nk", as_index=False).sum()
     ex = np.zeros(nmax, dtype=np.int64)
     im = np.zeros(nmax, dtype=np.int64)
@@ -3085,8 +2955,8 @@ def customer_balance_deciles(sf_dir: str) -> pd.DataFrame:
     table."""
     import ray
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_acctbal"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_acctbal"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     cents = np.floor(cust["c_acctbal"].to_numpy() * 100).astype(np.int64)
     n = len(ck)
@@ -3098,8 +2968,8 @@ def customer_balance_deciles(sf_dir: str) -> pd.DataFrame:
     n_cust = np.bincount(dec, minlength=10).astype(np.int64)
     ref = ray.put(lut)
 
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_totalprice"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_custkey", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         lut_ = ray.get(ref)
@@ -3131,10 +3001,10 @@ def returns_by_ship_lag(sf_dir: str) -> pd.DataFrame:
     grid-sized at any volume."""
     import ray as _ray  # noqa: F401  (kept for parity with siblings)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_shipdate", "l_returnflag"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_shipdate", "l_returnflag"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3145,8 +3015,7 @@ def returns_by_ship_lag(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(key), "aux": pa.array(sd),
             "ret": pa.array(r),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3155,8 +3024,7 @@ def returns_by_ship_lag(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(key), "aux": pa.array(od),
             "ret": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "aux"]] \
@@ -3177,10 +3045,9 @@ def returns_by_ship_lag(sf_dir: str) -> pd.DataFrame:
             "x": np.bincount(inv, weights=ret, minlength=len(u))
             .astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     agg = (part.groupby("lag", as_index=False).sum()
            .sort_values("lag", kind="mergesort").reset_index(drop=True))
     return pd.DataFrame({
@@ -3199,11 +3066,11 @@ def order_total_reconciliation(sf_dir: str) -> pd.DataFrame:
     $1, ±2 within $100, ±3 beyond. ONE lineitem⋈orders exchange
     co-partitioned on ``orderkey % 64``; per bucket the fold emits 7
     counter rows."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_extendedprice", "l_discount",
-                           "l_tax"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_totalprice"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_extendedprice", "l_discount",
+                          "l_tax"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_totalprice"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3213,8 +3080,7 @@ def order_total_reconciliation(sf_dir: str) -> pd.DataFrame:
         chg = np.floor(ep * (1 - d) * (1 + tx) * 100).astype(np.int64)
         return pa.table({
             "key": pa.array(key), "amt": pa.array(chg),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3222,8 +3088,7 @@ def order_total_reconciliation(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         return pa.table({
             "key": pa.array(key), "amt": pa.array(tp),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int8)
@@ -3254,10 +3119,9 @@ def order_total_reconciliation(sf_dir: str) -> pd.DataFrame:
                                               minlength=len(u))
             .astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    part = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas").to_pandas())
+    part = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                       items.map_batches(tag_items, batch_format="pyarrow")],
+                      "key", bucket_join)
     return (part.groupby("mismatch_class", as_index=False).sum()
             .sort_values("mismatch_class", kind="mergesort")
             .reset_index(drop=True).astype("int64"))
@@ -3278,11 +3142,11 @@ def user_part_negatives(sf_dir: str, k: int = 4,
     negative rank, the user count and partkey checksum."""
     import ray
 
-    part = _read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
+    part = read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
     max_part = int(part["p_partkey"].max())
 
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3290,8 +3154,7 @@ def user_part_negatives(sf_dir: str, k: int = 4,
             "key": pa.array(key),
             "aux": pa.array(t.column("l_partkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3299,8 +3162,7 @@ def user_part_negatives(sf_dir: str, k: int = 4,
             "key": pa.array(key),
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def join_pos(g: pd.DataFrame) -> pa.Table:
         # Arrow out: this stage feeds the second shuffle (pandas blocks
@@ -3314,9 +3176,7 @@ def user_part_negatives(sf_dir: str, k: int = 4,
                          + m["pk"].to_numpy(np.int64))
         cust = pair >> 24
         return pa.table({"cust": pa.array(cust),
-                         "pk": pa.array(pair & ((1 << 24) - 1)),
-                         "cbucket": pa.array((cust % 64)
-                                             .astype(np.int32))})
+                         "pk": pa.array(pair & ((1 << 24) - 1))})
 
     def sample_neg(g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.hashing import hash64_many
@@ -3350,13 +3210,11 @@ def user_part_negatives(sf_dir: str, k: int = 4,
                                        minlength=len(u))
             .astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    neg = (tagged.groupby("bucket")
-           .map_groups(join_pos, batch_format="pandas")
-           .groupby("cbucket")
-           .map_groups(sample_neg, batch_format="pandas")
-           .to_pandas())
+    pos = bucket_groups(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", join_pos)
+    neg = bucket_map(pos, "cust", sample_neg)
     return (neg.groupby("neg_rank", as_index=False).sum()
             .sort_values("neg_rank", kind="mergesort")
             .reset_index(drop=True).astype("int64"))
@@ -3368,8 +3226,8 @@ def part_supplier_redundancy(sf_dir: str) -> pd.DataFrame:
     stake per class — the single-source-risk table. One
     ``part % 64`` bucket exchange over deduped (part, supplier) pairs
     plus per-part revenue; ≤ 4 partial rows per bucket."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_suppkey", "l_extendedprice"])
+    ds = read(sf_dir, "lineitem",
+              columns=["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def derive(t: pa.Table) -> pa.Table:
         k = t.column("l_partkey").to_numpy().astype(np.int64)
@@ -3377,8 +3235,7 @@ def part_supplier_redundancy(sf_dir: str) -> pd.DataFrame:
         rev = np.floor(t.column("l_extendedprice").to_numpy() * 100) \
             .astype(np.int64)
         return pa.table({"k": pa.array(k), "s": pa.array(s),
-                         "rev": pa.array(rev),
-                         "bucket": pa.array((k % 64).astype(np.int32))})
+                         "rev": pa.array(rev)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         k = g["k"].to_numpy(np.int64)
@@ -3399,9 +3256,8 @@ def part_supplier_redundancy(sf_dir: str) -> pd.DataFrame:
                                          minlength=4)
             .astype(np.int64)})
 
-    parts = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                       "k", fold)
     agg = (parts.groupby("cls", as_index=False).sum()
            .sort_values("cls", kind="mergesort").reset_index(drop=True))
     agg = agg[agg["n_parts"] > 0].reset_index(drop=True)
@@ -3420,9 +3276,9 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
     then a ``cust % 64`` re-key dedupes per (cust, part, day) and
     takes consecutive-day gaps via lexsort + segment compares —
     partials are ≤ cap+1 counter rows per bucket."""
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3431,8 +3287,7 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
             "aux": pa.array(t.column("l_partkey").to_numpy()
                             .astype(np.int64)),
             "dy": pa.array(np.zeros(len(key), dtype=np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3443,8 +3298,7 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
             "dy": pa.array(dy),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def join_cpd(g: pd.DataFrame) -> pa.Table:
         left = g[g["side"] == 0][["key", "aux", "dy"]] \
@@ -3456,8 +3310,7 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
         return pa.table({
             "cust": pa.array(cust), "pk": pa.array(m["pk"].to_numpy(
                 np.int64)),
-            "dy": pa.array(m["dy"].to_numpy(np.int64)),
-            "cbucket": pa.array((cust % 64).astype(np.int32))})
+            "dy": pa.array(m["dy"].to_numpy(np.int64))})
 
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         c = g["cust"].to_numpy(np.int64)
@@ -3478,13 +3331,11 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
             "n_gaps": np.bincount(gw, minlength=cap_weeks + 1)
             .astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    out = (tagged.groupby("bucket")
-           .map_groups(join_cpd, batch_format="pandas")
-           .groupby("cbucket")
-           .map_groups(gaps, batch_format="pandas")
-           .to_pandas())
+    cpd = bucket_groups(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", join_cpd)
+    out = bucket_map(cpd, "cust", gaps)
     agg = (out.groupby("gap_week", as_index=False)["n_gaps"].sum()
            .sort_values("gap_week", kind="mergesort")
            .reset_index(drop=True))
@@ -3500,10 +3351,10 @@ def ship_lag_quantiles_by_priority(sf_dir: str) -> pd.DataFrame:
     (priority, lag, n) histogram partials (priority × lag-grid
     bounded), and the exact ceil-rank quantile rule runs on the driver
     grid — the same zero-sort discipline as ``events_hist_quantiles``."""
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_orderdate",
+                           "o_orderpriority"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3513,8 +3364,7 @@ def ship_lag_quantiles_by_priority(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key), "dy": pa.array(sd),
             "pri": pa.array(np.empty(len(key), dtype=object),
                             type=pa.string()),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3523,8 +3373,7 @@ def ship_lag_quantiles_by_priority(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(key), "dy": pa.array(od),
             "pri": t.column("o_orderpriority"),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "dy", "pri"]] \
@@ -3548,11 +3397,9 @@ def ship_lag_quantiles_by_priority(sf_dir: str) -> pd.DataFrame:
             "lag": (u % span) + lmin,
             "n": c.astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    parts = (tagged.groupby("bucket")
-             .map_groups(bucket_join, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                        items.map_batches(tag_items, batch_format="pyarrow")],
+                       "key", bucket_join)
     hist = parts.groupby(["pri", "lag"], as_index=False)["n"].sum()
     rows = []
     for pri, g in hist.groupby("pri"):
@@ -3582,9 +3429,9 @@ def first_order_ltv_corr(sf_dir: str) -> pd.DataFrame:
     via lexsort segment heads and emits a single 6-moment partial."""
     import math
 
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice",
-                        "o_orderkey"])
+    ds = read(sf_dir, "orders",
+              columns=["o_custkey", "o_orderdate", "o_totalprice",
+                       "o_orderkey"])
 
     def derive(t: pa.Table) -> pa.Table:
         c = t.column("o_custkey").to_numpy().astype(np.int64)
@@ -3592,11 +3439,10 @@ def first_order_ltv_corr(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(c),
             "d": t.column("o_orderdate").cast(pa.int64()),
             "k": t.column("o_orderkey"),
+            # whole DOLLARS: LTV² in cents overflows int64 moment partials
             "rev": pa.array(np.floor(t.column("o_totalprice")
                                      .to_numpy())
-                            .astype(np.int64)),  # whole DOLLARS:
-            # LTV² in cents overflows int64 moment partials
-            "bucket": pa.array((c % 64).astype(np.int32))})
+                            .astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         c = g["c"].to_numpy(np.int64)
@@ -3617,9 +3463,8 @@ def first_order_ltv_corr(sf_dir: str) -> pd.DataFrame:
             "syy": [sum(int(v) * int(v) for v in y)],
             "sxy": [sum(int(a) * int(b) for a, b in zip(x, y))]})
 
-    m = (ds.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().sum())
+    m = bucket_map(ds.map_batches(derive, batch_format="pyarrow"), "c",
+                   fold).sum()
     n, sx, sy = int(m["n"]), int(m["sx"]), int(m["sy"])
     sxx, syy, sxy = int(m["sxx"]), int(m["syy"]), int(m["sxy"])
     num = n * sxy - sx * sy
@@ -3650,23 +3495,23 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
 
     import ray
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
     c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
 
     ref = ray.put((s_nat, c_nat))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3674,8 +3519,7 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("l_suppkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3683,8 +3527,7 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         s_nat_, c_nat_ = ray.get(ref)
@@ -3703,11 +3546,10 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
         return out.groupby(["sn", "cn"], as_index=False).size() \
             .rename(columns={"size": "o"})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    obs = (tagged.groupby("bucket")
-           .map_groups(bucket_join, batch_format="pandas")
-           .to_pandas().groupby(["sn", "cn"], as_index=False)["o"]
+    obs = (bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join).groupby(["sn", "cn"], as_index=False)["o"]
            .sum())
     rtot = obs.groupby("sn")["o"].sum().to_dict()
     ctot = obs.groupby("cn")["o"].sum().to_dict()
@@ -3745,8 +3587,8 @@ def q6_sensitivity_grid(sf_dir: str) -> pd.DataFrame:
     from ONE pass over the fact table (each block evaluates all nine
     vectorized predicates and emits one 9-cell partial — the grid
     costs one scan, not nine). NO float, ZERO shuffle."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_discount", "l_quantity", "l_extendedprice"])
+    ds = read(sf_dir, "lineitem",
+              columns=["l_discount", "l_quantity", "l_extendedprice"])
     discs = ((4, 6), (5, 7), (6, 8))
     caps = (24, 50, 300)
 
@@ -3798,9 +3640,9 @@ def part_knapsack_greedy(sf_dir: str) -> pd.DataFrame:
     driver sort + prefix cumsum (dimension-sized, never row-sized).
     The maximal-prefix rule (cumulative size <= capacity) is mirrored
     by the twin's window cumsum. Pure integers end to end."""
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_partkey", "l_extendedprice",
-                           "l_discount"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_partkey", "l_extendedprice",
+                          "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
         pk = t.column("l_partkey").to_numpy().astype(np.int64)
@@ -3816,7 +3658,7 @@ def part_knapsack_greedy(sf_dir: str) -> pd.DataFrame:
 
     rv = (items.map_batches(partial, batch_format="pyarrow")
           .to_pandas().groupby("pk", as_index=False).sum())
-    pt = _read(sf_dir, "part", columns=["p_partkey", "p_size"]) \
+    pt = read(sf_dir, "part", columns=["p_partkey", "p_size"]) \
         .to_pandas().rename(columns={"p_partkey": "pk"})
     mg = pt.merge(rv, on="pk", how="left")
     rev = mg["rev"].fillna(0).to_numpy(np.int64)
@@ -3853,21 +3695,21 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
     count partials and the driver folds a 25x25 grid."""
     import ray
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
     c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
     ref = ray.put((s_nat, c_nat))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_suppkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_suppkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3875,8 +3717,7 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("l_suppkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -3884,8 +3725,7 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         s_nat_, c_nat_ = ray.get(ref)
@@ -3904,11 +3744,10 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
         return out.groupby(["sn", "cn"], as_index=False).size() \
             .rename(columns={"size": "o"})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    obs = (tagged.groupby("bucket")
-           .map_groups(bucket_join, batch_format="pandas")
-           .to_pandas().groupby(["sn", "cn"], as_index=False)["o"]
+    obs = (bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join).groupby(["sn", "cn"], as_index=False)["o"]
            .sum())
     rtot = {int(k): int(v)
             for k, v in obs.groupby("sn")["o"].sum().items()}
@@ -3937,17 +3776,17 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
     runs per nation on the driver grid. Pure integers."""
     import ray
 
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
     c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
     ref = ray.put(c_nat)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_shipdate"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3955,8 +3794,7 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
             // 86_400_000_000
         return pa.table({
             "key": pa.array(key), "aux": pa.array(d),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         nat = ray.get(ref)
@@ -3967,8 +3805,7 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(key),
             "aux": pa.array(nat[ck_] * 131072 + d),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "aux"]] \
@@ -3987,11 +3824,10 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
         return out.groupby(["nk", "lg"], as_index=False).size() \
             .rename(columns={"size": "c"})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    hist = (tagged.groupby("bucket")
-            .map_groups(bucket_join, batch_format="pandas")
-            .to_pandas().groupby(["nk", "lg"], as_index=False)["c"]
+    hist = (bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join).groupby(["nk", "lg"], as_index=False)["c"]
             .sum())
     rows = []
     for nk, g in hist.groupby("nk"):
@@ -4027,15 +3863,15 @@ def supplier_type_coverage(sf_dir: str) -> pd.DataFrame:
     grid. Pure integers."""
     import ray
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
     n_supp = supp.groupby("s_nationkey").size().to_dict()
 
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_type"]).to_pandas()
+    part = read(sf_dir, "part",
+                columns=["p_partkey", "p_type"]).to_pandas()
     tcode, tuniq = pd.factorize(part["p_type"], sort=True)
     pk = part["p_partkey"].to_numpy(np.int64)
     p_type = np.zeros(pk.max() + 1, dtype=np.int64)
@@ -4043,7 +3879,7 @@ def supplier_type_coverage(sf_dir: str) -> pd.DataFrame:
     n_types = len(tuniq)
     ref = ray.put((s_nat, p_type))
 
-    ds = _read(sf_dir, "lineitem", columns=["l_suppkey", "l_partkey"])
+    ds = read(sf_dir, "lineitem", columns=["l_suppkey", "l_partkey"])
 
     def partial(t: pa.Table) -> pa.Table:
         s_nat_, p_type_ = ray.get(ref)
@@ -4081,16 +3917,16 @@ def part_supply_resilience(sf_dir: str) -> pd.DataFrame:
     Pure integers end to end."""
     import ray
 
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read(sf_dir, "supplier",
+                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
     s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
     s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
     ref = ray.put(s_nat)
 
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"])
+    ds = read(sf_dir, "lineitem",
+              columns=["l_partkey", "l_suppkey", "l_extendedprice",
+                       "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
         s_nat_ = ray.get(ref)
@@ -4144,17 +3980,17 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
     customers x 25."""
     import ray
 
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_brand"]).to_pandas()
+    part = read(sf_dir, "part",
+                columns=["p_partkey", "p_brand"]).to_pandas()
     bcode, buniq = pd.factorize(part["p_brand"], sort=True)
     pk = part["p_partkey"].to_numpy(np.int64)
     p_br = np.zeros(pk.max() + 1, dtype=np.int64)
     p_br[pk] = bcode
     ref = ray.put(p_br)
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_partkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_partkey"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -4162,8 +3998,7 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("l_partkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(key), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -4171,8 +4006,7 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
             "key": pa.array(key),
             "aux": pa.array(t.column("o_custkey").to_numpy()
                             .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         p_br_ = ray.get(ref)
@@ -4189,11 +4023,10 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
         u, cnt = np.unique(cb, return_counts=True)
         return pd.DataFrame({"cb": u, "c": cnt.astype(np.int64)})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    cells = (tagged.groupby("bucket")
-             .map_groups(bucket_join, batch_format="pandas")
-             .to_pandas().groupby("cb", as_index=False)["c"].sum())
+    cells = (bucket_map(
+        [orders.map_batches(tag_orders, batch_format="pyarrow"),
+         items.map_batches(tag_items, batch_format="pyarrow")],
+        "key", bucket_join).groupby("cb", as_index=False)["c"].sum())
     c = cells["c"].to_numpy(np.int64)
     ck = cells["cb"].to_numpy(np.int64) // 32
     br = cells["cb"].to_numpy(np.int64) % 32
@@ -4225,9 +4058,9 @@ def orders_size_slope(sf_dir: str) -> pd.DataFrame:
     partial row. The marginal-basket economics number."""
     import ray
 
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_totalprice"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey"])
+    orders = read(sf_dir, "orders",
+                  columns=["o_orderkey", "o_totalprice"])
 
     def tag_items(t: pa.Table) -> pa.Table:
         key = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -4235,8 +4068,7 @@ def orders_size_slope(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "key": pa.array(u),
             "aux": pa.array(cnt.astype(np.int64)),
-            "side": pa.array(np.ones(len(u), dtype=np.int8)),
-            "bucket": pa.array((u % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.ones(len(u), dtype=np.int8))})
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = t.column("o_orderkey").to_numpy().astype(np.int64)
@@ -4244,8 +4076,7 @@ def orders_size_slope(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         return pa.table({
             "key": pa.array(key), "aux": pa.array(cents),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "bucket": pa.array((key % _JOIN_BUCKETS).astype(np.int32))})
+            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0][["key", "aux"]] \
@@ -4259,11 +4090,9 @@ def orders_size_slope(sf_dir: str) -> pd.DataFrame:
             "n": len(m), "sx": int(x.sum()), "sy": int(y.sum()),
             "sxx": int((x * x).sum()), "sxy": int((x * y).sum())}])
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow") \
-        .union(items.map_batches(tag_items, batch_format="pyarrow"))
-    m = (tagged.groupby("bucket")
-         .map_groups(bucket_join, batch_format="pandas")
-         .to_pandas().sum())
+    m = (bucket_map([orders.map_batches(tag_orders, batch_format="pyarrow"),
+                     items.map_batches(tag_items, batch_format="pyarrow")],
+                    "key", bucket_join).sum())
     n, sx, sy = int(m["n"]), int(m["sx"]), int(m["sy"])
     sxx, sxy = int(m["sxx"]), int(m["sxy"])
     den = n * sxx - sx * sx
@@ -4292,24 +4121,24 @@ def region_share_shift(sf_dir: str) -> pd.DataFrame:
     anchors the halves. Pure integers."""
     import ray
 
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_regionkey"]).to_pandas()
+    nat = read(sf_dir, "nation",
+               columns=["n_nationkey", "n_regionkey"]).to_pandas()
     n2r = np.zeros(int(nat["n_nationkey"].max()) + 1, dtype=np.int64)
     n2r[nat["n_nationkey"].to_numpy(np.int64)] = \
         nat["n_regionkey"].to_numpy(np.int64)
-    reg = _read(sf_dir, "region",
-                columns=["r_regionkey", "r_name"]).to_pandas()
+    reg = read(sf_dir, "region",
+               columns=["r_regionkey", "r_name"]).to_pandas()
     rname = dict(zip(reg["r_regionkey"].astype(int),
                      reg["r_name"].astype(str)))
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read(sf_dir, "customer",
+                columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
     c2r = np.zeros(ck.max() + 1, dtype=np.int64)
     c2r[ck] = n2r[cust["c_nationkey"].to_numpy(np.int64)]
     ref = ray.put(c2r)
 
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
+    ds = read(sf_dir, "orders",
+              columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
     def span(t: pa.Table) -> pa.Table:
         d = t.column("o_orderdate").cast(pa.int64()).to_numpy() \
@@ -4391,9 +4220,9 @@ def supplier_first_touch_share(sf_dir: str) -> pd.DataFrame:
     names = dict(zip(nat.column("n_nationkey").to_numpy().astype(np.int64),
                      nat.column("n_name").to_pylist()))
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_shipdate", "l_suppkey",
-                           "l_linenumber"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_shipdate", "l_suppkey",
+                          "l_linenumber"])
 
     def derive(t: pa.Table) -> pa.Table:
         o = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -4403,8 +4232,7 @@ def supplier_first_touch_share(sf_dir: str) -> pd.DataFrame:
             "s": pa.array(t.column("l_suppkey").to_numpy()
                           .astype(np.int64)),
             "ln": pa.array(t.column("l_linenumber").to_numpy()
-                           .astype(np.int64)),
-            "bucket": pa.array((o % 64).astype(np.int32))})
+                           .astype(np.int64))})
 
     def first_fold(g: pd.DataFrame) -> pd.DataFrame:
         o = g["o"].to_numpy(np.int64)
@@ -4421,10 +4249,8 @@ def supplier_first_touch_share(sf_dir: str) -> pd.DataFrame:
         u, c = np.unique(nk, return_counts=True)
         return pd.DataFrame({"nk": u, "n_first": c.astype(np.int64)})
 
-    firsts = (items.map_batches(derive, batch_format="pyarrow")
-              .groupby("bucket").map_groups(first_fold,
-                                            batch_format="pandas")
-              .to_pandas().groupby("nk", as_index=False).sum())
+    firsts = (bucket_map(items.map_batches(derive, batch_format="pyarrow"),
+                         "o", first_fold).groupby("nk", as_index=False).sum())
 
     def line_part(t: pa.Table) -> pa.Table:
         s = t.column("l_suppkey").to_numpy().astype(np.int64)
@@ -4433,7 +4259,7 @@ def supplier_first_touch_share(sf_dir: str) -> pd.DataFrame:
         return pa.table({"nk": pa.array(u),
                          "n_lines": pa.array(c.astype(np.int64))})
 
-    lines = (_read(sf_dir, "lineitem", columns=["l_suppkey"])
+    lines = (read(sf_dir, "lineitem", columns=["l_suppkey"])
              .map_batches(line_part, batch_format="pyarrow")
              .to_pandas().groupby("nk", as_index=False).sum())
 
@@ -4469,14 +4295,13 @@ def order_ship_sync_census(sf_dir: str) -> pd.DataFrame:
     exchange → per bucket lexsort + two run-length passes emit one
     (m, n_orders, n_pairs, n_same_day) partial per band; the driver
     folds a handful of band rows."""
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
     DAY_US = 86_400_000_000
 
     def derive(t: pa.Table) -> pa.Table:
         o = t.column("l_orderkey").to_numpy().astype(np.int64)
         d = t.column("l_shipdate").cast(pa.int64()).to_numpy() // DAY_US
-        return pa.table({"o": pa.array(o), "d": pa.array(d),
-                         "bucket": pa.array((o % 64).astype(np.int32))})
+        return pa.table({"o": pa.array(o), "d": pa.array(d)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         o = g["o"].to_numpy(np.int64)
@@ -4506,9 +4331,8 @@ def order_ship_sync_census(sf_dir: str) -> pd.DataFrame:
                              "n_pairs": out["pairs"],
                              "n_same_day": out["sd"]})
 
-    g = (items.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().groupby("m", as_index=False).sum())
+    g = (bucket_map(items.map_batches(derive, batch_format="pyarrow"),
+                    "o", fold).groupby("m", as_index=False).sum())
     g["sync_bp"] = (g["n_same_day"] * 10000 // g["n_pairs"]).astype("int64")
     return (g.sort_values("m", kind="mergesort").reset_index(drop=True)
             .astype({c: "int64" for c in g.columns}))
@@ -4529,7 +4353,7 @@ def supplier_backlog_aging(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     DAY_US = 86_400_000_000
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
+    orders = read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
     def day_part(t: pa.Table) -> pa.Table:
         d = t.column("o_orderdate").cast(pa.int64()).to_numpy() // DAY_US
@@ -4566,8 +4390,7 @@ def supplier_backlog_aging(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "okey": pa.array(o), "v": pa.array(d),
             "side": pa.array(np.zeros(len(o), np.int8)),
-            "cents": pa.array(np.zeros(len(o), np.int64)),
-            "bucket": pa.array((o % 64).astype(np.int32))})
+            "cents": pa.array(np.zeros(len(o), np.int64))})
 
     def l_rows(t: pa.Table) -> pa.Table:
         o = t.column("l_orderkey").to_numpy().astype(np.int64)
@@ -4580,12 +4403,11 @@ def supplier_backlog_aging(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "okey": pa.array(o), "v": pa.array(s),
             "side": pa.array(np.ones(len(o), np.int8)),
-            "cents": pa.array(cents),
-            "bucket": pa.array((o % 64).astype(np.int32))})
+            "cents": pa.array(cents)})
 
-    items = _read(sf_dir, "lineitem",
-                  columns=["l_orderkey", "l_shipdate", "l_suppkey",
-                           "l_extendedprice"])
+    items = read(sf_dir, "lineitem",
+                 columns=["l_orderkey", "l_shipdate", "l_suppkey",
+                          "l_extendedprice"])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int8)
@@ -4616,10 +4438,9 @@ def supplier_backlog_aging(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"nk": [], "band": [], "n": [],
                              "cents": []})
 
-    g = (orders.map_batches(o_rows, batch_format="pyarrow")
-         .union(items.map_batches(l_rows, batch_format="pyarrow"))
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas())
+    g = bucket_map([orders.map_batches(o_rows, batch_format="pyarrow"),
+                    items.map_batches(l_rows, batch_format="pyarrow")],
+                   "okey", fold)
     if g.empty:
         return pd.DataFrame({"n_name": [], "age_band": [], "n_lines": [],
                              "value_cents": []})
@@ -4656,14 +4477,13 @@ def order_brand_diversity_curve(sf_dir: str) -> pd.DataFrame:
     codes = {b: i for i, b in enumerate(sorted(set(br.tolist())))}
     brc = np.array([codes[b] for b in br], dtype=np.int64)
 
-    items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def derive(t: pa.Table) -> pa.Table:
         o = t.column("l_orderkey").to_numpy().astype(np.int64)
         p = t.column("l_partkey").to_numpy().astype(np.int64)
         b = brc[np.searchsorted(pk, p)]
-        return pa.table({"o": pa.array(o), "b": pa.array(b),
-                         "bucket": pa.array((o % 64).astype(np.int32))})
+        return pa.table({"o": pa.array(o), "b": pa.array(b)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         o = g["o"].to_numpy(np.int64)
@@ -4683,9 +4503,8 @@ def order_brand_diversity_curve(sf_dir: str) -> pd.DataFrame:
                            "sb": nb.astype(np.int64)})
         return df.groupby("m", as_index=False).sum()
 
-    g = (items.map_batches(derive, batch_format="pyarrow")
-         .groupby("bucket").map_groups(fold, batch_format="pandas")
-         .to_pandas().groupby("m", as_index=False).sum())
+    g = (bucket_map(items.map_batches(derive, batch_format="pyarrow"),
+                    "o", fold).groupby("m", as_index=False).sum())
     g["mean_brands_milli"] = (g["sb"] * 1000 // g["n"]).astype("int64")
     out = g.rename(columns={"n": "n_orders",
                             "sb": "sum_distinct_brands"})

@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .exchange import bucket_groups, bucket_map
+
 MEDIA_META = pa.schema(
     [
         ("doc_id", pa.int64()),
@@ -267,8 +269,7 @@ def media_phash_bands(sf_dir: str) -> pd.DataFrame:
         key = band * 65536 + vals
         u, c = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(u),
-                         "n": pa.array(c.astype(np.int64)),
-                         "bucket": pa.array((u % 64).astype(np.int32))})
+                         "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         key = g["key"].to_numpy(np.int64)
@@ -283,9 +284,8 @@ def media_phash_bands(sf_dir: str) -> pd.DataFrame:
             "pairs": tot * (tot - 1) // 2})
         return out.groupby("band", as_index=False).sum()
 
-    parts = (hashed.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(hashed.map_batches(derive, batch_format="pyarrow"),
+                       "key", fold)
     agg = (parts.groupby("band", as_index=False).sum()
            .sort_values("band", kind="mergesort").reset_index(drop=True))
     return pd.DataFrame({
@@ -328,10 +328,7 @@ def media_phash_near_pairs(sf_dir: str) -> pd.DataFrame:
                                        len(did))),
             "val": pa.array(np.concatenate(b).astype(np.int64)),
             "doc_id": pa.array(np.tile(did, 4)),
-            "h64": pa.array(np.tile(h64, 4)),
-            "bucket": pa.array(
-                (np.concatenate(b).astype(np.int64) % 64)
-                .astype(np.int32))})
+            "h64": pa.array(np.tile(h64, 4))})
 
     def pair_fold(g: pd.DataFrame) -> pd.DataFrame:
         d1s, d2s, hams = [], [], []
@@ -358,14 +355,10 @@ def media_phash_near_pairs(sf_dir: str) -> pd.DataFrame:
                              "d2": np.concatenate(d2s),
                              "ham": np.concatenate(hams)}).astype(np.int64)
 
-    def pair_bucket(t: pa.Table) -> pa.Table:
+    def pair_key(t: pa.Table) -> np.ndarray:
         d1 = t.column("d1").to_numpy().astype(np.int64)
         d2 = t.column("d2").to_numpy().astype(np.int64)
-        key = d1 * np.int64(1 << 32) + d2
-        return t.append_column(
-            "pbucket",
-            pa.array((key.view(np.uint64) % np.uint64(64))
-                     .astype(np.int32)))
+        return d1 * np.int64(1 << 32) + d2
 
     def stats_fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["d1", "d2"])
@@ -376,13 +369,10 @@ def media_phash_near_pairs(sf_dir: str) -> pd.DataFrame:
             "le16": [int((ham <= 16).sum())],
             "min_ham": [int(ham.min()) if len(ham) else (1 << 30)]})
 
-    stats = (hashed.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(pair_fold,
-                                           batch_format="pandas")
-             .map_batches(pair_bucket, batch_format="pyarrow")
-             .groupby("pbucket").map_groups(stats_fold,
-                                            batch_format="pandas")
-             .to_pandas())
+    stats = bucket_map(
+        bucket_groups(hashed.map_batches(derive, batch_format="pyarrow"),
+                      "val", pair_fold),
+        pair_key, stats_fold)
     n_docs = int(ds.count())
     if len(stats) and int(stats["n_pairs"].sum()):
         n_pairs = int(stats["n_pairs"].sum())

@@ -9,6 +9,7 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.text import lang_id, quality_scores, winnow_fingerprint
+from .exchange import bucket_map
 
 
 def text_analysis_batch(t: pa.Table) -> pa.Table:
@@ -35,6 +36,12 @@ def text_analysis(sf_dir: str) -> pd.DataFrame:
                                columns=["doc_id", "text"])
     return ds.map_batches(text_analysis_batch,
                           batch_format="pyarrow").to_pandas()
+
+
+def _str_hash(t: pa.Table, col: str) -> np.ndarray:
+    """Bucket key of a string column: its md5-based hash64."""
+    from ..functions.hashing import hash64_many
+    return hash64_many(t.column(col).to_pylist())
 
 
 _GOPHER_STOPS = ("the", "a", "and", "of")
@@ -633,15 +640,12 @@ def trigram_spectrum(sf_dir: str, cap: int = 10) -> pd.DataFrame:
                          for i in range(len(w) - 2))
         if not grams:
             return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "bucket": pa.array([], type=pa.int32())})
+                             "n": pa.array([], type=pa.int64())})
         g, n = np.unique(np.array(grams, dtype=object),
                          return_counts=True)
         h = hash64_many(g).astype(np.int64)
         return pa.table({"h": pa.array(h),
-                         "n": pa.array(n.astype(np.int64)),
-                         "bucket": pa.array(
-                             (h.view(np.uint64) % 64).astype(np.int32))})
+                         "n": pa.array(n.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -654,9 +658,8 @@ def trigram_spectrum(sf_dir: str, cap: int = 10) -> pd.DataFrame:
             "n_grams": np.bincount(k, minlength=cap + 1)[1:]
             .astype(np.int64)})
 
-    parts = (ds.map_batches(derive, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+                       "h", fold)
     out = (parts.groupby("occ", as_index=False)["n_grams"].sum()
            .sort_values("occ", kind="mergesort").reset_index(drop=True))
     return out[out["n_grams"] > 0].reset_index(drop=True) \
@@ -800,7 +803,6 @@ def docs_entropy_rate_by_source(sf_dir: str) -> pd.DataFrame:
                                  columns=["source", "text"])
 
     def explode(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash64_many
         srcs, ctxs, trigs = [], [], []
         for src, text in zip(t.column("source").to_pylist(),
                              t.column("text").to_pylist()):
@@ -809,12 +811,9 @@ def docs_entropy_rate_by_source(sf_dir: str) -> pd.DataFrame:
                 ctxs.append(toks[i] + " " + toks[i + 1])
                 trigs.append(ctxs[-1] + " " + toks[i + 2])
                 srcs.append(src)
-        b = (hash64_many(ctxs) % np.uint64(64)).astype(np.int32) \
-            if ctxs else np.array([], dtype=np.int32)
         return pa.table({"source": pa.array(srcs, type=pa.string()),
                          "ctx": pa.array(ctxs, type=pa.string()),
-                         "trig": pa.array(trigs, type=pa.string()),
-                         "bucket": pa.array(b)})
+                         "trig": pa.array(trigs, type=pa.string())})
 
     def _s_of(counts: np.ndarray) -> int:
         # sum of floor(c*ln(c)*1e6) via a per-unique-count table: counts
@@ -834,9 +833,8 @@ def docs_entropy_rate_by_source(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=[
             "source", "n", "n_ctx", "n_trig", "s_ctx", "s_tri"])
 
-    parts = (docs.map_batches(explode, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(docs.map_batches(explode, batch_format="pyarrow"),
+                       lambda t: _str_hash(t, "ctx"), fold)
     g = parts.groupby("source", as_index=False).sum()
     g["entropy_rate_micro_nats"] = [
         (int(sc) - int(st)) // int(n) if n else 0
@@ -888,18 +886,14 @@ def source_js_divergence_matrix(sf_dir: str) -> pd.DataFrame:
     sources = sorted(N)
 
     def explode(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash64_many
         srcs, toks = [], []
         for src, text in zip(t.column("source").to_pylist(),
                              t.column("text").to_pylist()):
             ws = text.split()
             srcs.extend([src] * len(ws))
             toks.extend(ws)
-        b = (hash64_many(toks) % np.uint64(64)).astype(np.int32) \
-            if toks else np.array([], dtype=np.int32)
         return pa.table({"source": pa.array(srcs, type=pa.string()),
-                         "tok": pa.array(toks, type=pa.string()),
-                         "bucket": pa.array(b)})
+                         "tok": pa.array(toks, type=pa.string())})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         import math as _math
@@ -937,9 +931,8 @@ def source_js_divergence_matrix(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=["source_a", "source_b",
                                            "n_common", "s_a", "s_b"])
 
-    parts = (docs.map_batches(explode, batch_format="pyarrow")
-             .groupby("bucket").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_map(docs.map_batches(explode, batch_format="pyarrow"),
+                       lambda t: _str_hash(t, "tok"), fold)
     g = parts.groupby(["source_a", "source_b"], as_index=False).sum()
     g["js_micro_nats"] = [
         (int(sa) // int(N[a]) + int(sb) // int(N[b])) // 2

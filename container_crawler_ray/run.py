@@ -30,8 +30,6 @@ def main() -> None:
     ap.add_argument("--partitions", type=int, default=32)
     ap.add_argument("--items-chunk", type=int, default=4000)
     ap.add_argument("--bulk", action="store_true")
-    ap.add_argument("--fetch-mode", choices=["actors", "tasks"],
-                    default="actors")
     args = ap.parse_args()
 
     import ray
@@ -51,7 +49,6 @@ def main() -> None:
                       num_engines=args.num_engines,
                       engine_index=args.engine_index,
                       bulk_process=args.bulk,
-                      fetch_mode=args.fetch_mode,
                       workers=args.num_cpus or 16)
     if args.resume:
         seed_urls = None

@@ -1,4 +1,4 @@
-"""Fetch stage: actor-pool map_batches with the pluggable handler protocol
+"""Fetch stage: task map_batches with the pluggable handler protocol
 (T1/M2/M3 and the §2.10 user-extension surface).
 
 Reference shape [recon: ``container_crawler/base_sync.py:≈10–100``,
@@ -8,9 +8,10 @@ whole chunk in one call, else each row is queued to a worker pool;
 ``RetryError`` / exceptions mark the chunk for retry.
 
 Ray-Data re-expression:
-- ``FetchStage`` is a callable CLASS → actor pool. ``__init__`` constructs
-  the handler once per actor (``setup(ctx)``), resolving broadcast state
-  (robots) from a ``ray.put`` ref.
+- ``make_fetch_fn`` maps stateless tasks over the scheduled rows. The
+  handler travels as one ``ray.put`` ref per pass; each worker process
+  fetches it and calls ``setup(ctx)`` once, then reuses it from a
+  per-process cache for the rest of the pass.
 - bulk mode → ``batch_size=None`` (one ``handle_batch`` per block);
   per-row mode → bounded ``batch_size`` and a per-row loop with PER-ROW
   error capture into an ``error`` column (exceptions never kill the task,
@@ -44,7 +45,7 @@ class SkipContainer(Exception):
 class FetchHandler:
     """User-extension surface. Subclass and override."""
 
-    def setup(self, ctx: dict) -> None:  # once per actor
+    def setup(self, ctx: dict) -> None:  # once per worker per pass
         self.ctx = ctx
 
     def handle_row(self, row: dict) -> dict:
@@ -99,9 +100,9 @@ class SimulatedFetchHandler(FetchHandler):
 
 
 def apply_fetch(handler: FetchHandler, bulk: bool, t: pa.Table) -> pa.Table:
-    """The fetch kernel shared by the actor-pool stage and the task-mode
-    function: fetch rows tagged ``scheduled``, per-row (errors captured per
-    row) or bulk (one handle_batch per chunk, all-or-nothing)."""
+    """The fetch kernel: fetch rows tagged ``scheduled``, per-row (errors
+    captured per row) or bulk (one handle_batch per chunk,
+    all-or-nothing)."""
     n = len(t)
     sched = np.asarray(t.column("sched").to_pylist())
     todo = np.flatnonzero(sched == "scheduled")
@@ -141,25 +142,10 @@ def apply_fetch(handler: FetchHandler, bulk: bool, t: pa.Table) -> pa.Table:
     return t
 
 
-class FetchStage:
-    """Actor-pool form (T1): handler constructed + ``setup`` ONCE per actor.
-    Use for handlers with expensive state (models, sessions, robots
-    caches)."""
-
-    def __init__(self, handler: FetchHandler, bulk_process: bool,
-                 ctx_ref=None):
-        self.handler = handler
-        self.bulk = bulk_process
-        ctx = ray.get(ctx_ref) if ctx_ref is not None else {}
-        self.handler.setup(ctx)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return apply_fetch(self.handler, self.bulk, t)
-
-
-# Task-mode form: stateless elastic tasks with a per-worker-process handler
-# cache — the right idiom when the handler is cheap to build; tasks soak up
-# whatever CPUs the other stages leave free, with no pool sizing to tune.
+# Stateless elastic tasks with a per-worker-process handler cache: the
+# handler is built and ``setup`` once per worker per pass, and tasks soak
+# up whatever CPUs the other stages leave free, with no pool to size or
+# start.
 _HANDLERS: dict = {}
 
 

@@ -17,7 +17,7 @@ from container_crawler_ray.sources.synth import make_seed_urls
 
 BASE = dict(num_partitions=4, items_chunk=200, workers=2, seen_shards=2,
             n_hosts=10, n_paths=40, pass_time_ms=8000, fail_mod=0,
-            max_passes=30, fetch_mode="tasks")
+            max_passes=30)
 
 
 def _docs(root):

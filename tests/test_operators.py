@@ -793,3 +793,95 @@ def test_top_tokens_sketch_short_sketch_falls_back(tmp_path):
     assert len(exact) == 50
     sk = top_tokens_sketch(str(d), mg_capacity=100)
     pd.testing.assert_frame_equal(exact, sk)
+
+
+# ------------------------------------------------ the bucket_map exchange
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+_ROWS = st.lists(st.tuples(st.integers(-2000, 2000), st.integers(-50, 50)),
+                 max_size=60)
+
+
+def _blocks(rows, side, n_blocks):
+    """One Dataset of (k, v, side) rows split over ``n_blocks`` blocks."""
+    import ray.data
+    t = pa.table({"k": pa.array([r[0] for r in rows], pa.int64()),
+                  "v": pa.array([r[1] for r in rows], pa.int64()),
+                  "side": pa.array([side] * len(rows), pa.int8())})
+    cuts = np.linspace(0, len(t), n_blocks + 1).astype(int)
+    return ray.data.from_arrow([t.slice(a, b - a)
+                                for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_ROWS, b=_ROWS, union=st.booleans(), expr=st.booleans(),
+       n=st.sampled_from([64, 256]), n_blocks=st.integers(1, 3))
+@example(a=[], b=[], union=False, expr=False, n=64, n_blocks=1)
+@example(a=[], b=[], union=True, expr=True, n=256, n_blocks=2)
+def test_bucket_map_one_fold_per_key_equals_groupby(a, b, union, expr, n,
+                                                     n_blocks):
+    """Every key's rows reach exactly one fold call, every row of a call
+    carries ``bucket == key % n``, and the concatenated fold output
+    equals a pandas groupby(key)-apply over all input rows. Covers empty
+    inputs, the tagged-union form (two inputs), an expression key and
+    n=256."""
+    import uuid
+
+    from container_crawler_ray.pipelines.exchange import bucket_map
+
+    def key_of(k):
+        return k // 7 if expr else k
+
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        key = key_of(g["k"].to_numpy(np.int64))
+        assert (g["bucket"].to_numpy() == key % n).all()
+        out = (pd.DataFrame({"key": key, "v": g["v"].to_numpy(np.int64),
+                             "side": g["side"].to_numpy(np.int64)})
+               .groupby("key", as_index=False)
+               .agg(rows=("v", "size"), v_sum=("v", "sum"),
+                    sides=("side", "sum")))
+        out["call"] = uuid.uuid4().hex
+        return out
+
+    inputs = [_blocks(a, 0, n_blocks)] + ([_blocks(b, 1, 2)] if union
+                                          else [])
+    key = (lambda t: t.column("k").to_numpy() // 7) if expr else "k"
+    out = bucket_map(inputs if union else inputs[0], key, fold, n=n)
+
+    rows = pd.DataFrame(a + (b if union else []), columns=["k", "v"])
+    rows["side"] = [0] * len(a) + ([1] * len(b) if union else [])
+    if rows.empty:
+        assert out.empty
+        return
+    rows["key"] = key_of(rows["k"].to_numpy(np.int64))
+    ref = (rows.groupby("key", as_index=False)
+           .agg(rows=("v", "size"), v_sum=("v", "sum"),
+                sides=("side", "sum")))
+    assert out["key"].is_unique                # one call saw each key
+    got = (out.drop(columns="call").sort_values("key")
+           .reset_index(drop=True).astype("int64"))
+    pd.testing.assert_frame_equal(got, ref.astype("int64"))
+
+
+def test_no_hand_rolled_bucket_exchange_outside_exchange_module():
+    """The catalog's keyed exchange lives in ``pipelines/exchange.py``
+    only: no module builds its own ``groupby("bucket")`` /
+    ``groupby("vbucket")`` exchange or ``% 64`` bucket tag."""
+    import glob
+    import re
+
+    from container_crawler_ray import pipelines
+    banned = [r'groupby\(\s*"v?bucket"\s*\)',
+              r'%\s*64\s*\)\s*\.astype\(\s*(np\.int32|"int32")',
+              r'"v?bucket"\s*:\s*pa\.array\(',
+              r'append_column\(\s*"v?bucket"',
+              r'\[\s*"v?bucket"\s*\]\s*=']
+    hits = []
+    for path in glob.glob(os.path.join(os.path.dirname(pipelines.__file__),
+                                       "*.py")):
+        if path.endswith("exchange.py"):
+            continue
+        for i, line in enumerate(open(path), 1):
+            if any(re.search(p, line) for p in banned):
+                hits.append(f"{os.path.basename(path)}:{i}: {line.strip()}")
+    assert not hits, "\n".join(hits)

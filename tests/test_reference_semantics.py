@@ -168,6 +168,10 @@ def test_items_chunk_limits_scan(tmp_store):
                             "links", "frontier_append", "retry",
                             "docs_write_join"]
     assert stages == {k: int(s["timings"][k] * 1000) for k in stages}
+    # and together they account for the pass: their sum is the pass wall
+    # within 5 %, allowing 1 ms per stage for the int() truncation
+    gap = abs(s["wall_ms"] - sum(stages.values()))
+    assert gap <= 0.05 * s["wall_ms"] + len(stages), (s["wall_ms"], stages)
 
 
 def test_link_path_probes_seen_set_once_per_pass(tmp_store, monkeypatch):
@@ -362,7 +366,7 @@ def test_auto_salt_emergent_hot_host(tmp_store):
     # blow through the 30% share threshold on the first link-bearing pass
     cfg = CrawlConfig(num_partitions=8, items_chunk=100, workers=2,
                       seen_shards=2, n_hosts=2, n_paths=400,
-                      pass_time_ms=60000, fail_mod=0, fetch_mode="tasks",
+                      pass_time_ms=60000, fail_mod=0,
                       auto_salt_share_milli=300)
     store, st = init_run(tmp_store, cfg, make_seed_urls(40, n_hosts=2))
     assert st.salted_hosts == ()
@@ -395,3 +399,11 @@ def test_auto_salt_emergent_hot_host(tmp_store):
     store2, st2 = resume_run(tmp_store, cfg)
     assert hot in st2.salted_hosts
     st2.seen.teardown()
+
+
+def test_fetch_mode_accepts_only_tasks():
+    """The fetch stage runs as stateless tasks only; the field stays so
+    configs that name ``fetch_mode="tasks"`` keep loading."""
+    assert CrawlConfig().fetch_mode == "tasks"
+    with pytest.raises(ValueError):
+        CrawlConfig(fetch_mode="actors")

@@ -36,7 +36,7 @@ def test_no_post_crawl_slowdown(ray_session, tmp_path):
 
     cfg = CrawlConfig(num_partitions=16, items_chunk=400, workers=3,
                       seen_shards=4, n_hosts=500, n_paths=60,
-                      pass_time_ms=60000, fail_mod=0, fetch_mode="tasks")
+                      pass_time_ms=60000, fail_mod=0)
     out = run_crawl(str(tmp_path / "poison"), cfg,
                     seed_urls=make_seed_urls(8000, n_hosts=500),
                     max_passes=4)
