@@ -8,7 +8,7 @@ graft-mandated knobs (seen-set shards, politeness, partitions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,10 @@ class CrawlConfig:
     # every later pass, persisted in meta so resume keeps it. 0 = off.
     auto_salt_share_milli: int = 0
     auto_salt_min_rows: int = 64
-    seed: int = 42
 
     # --- world shape (synthetic closed world) ---------------------------
     n_hosts: int = 200
     n_paths: int = 1000              # closed-world path-id space
-
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         assert 0 <= self.node_id < self.num_nodes

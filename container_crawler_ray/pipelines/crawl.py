@@ -31,18 +31,22 @@ then derived branches over the fetch result:
     documents sink (streaming parquet write)
     filter(ok) → explode links → canonicalize/hash/route   [one fused task
       per fetch block] → blocks read zero-copy on the driver
-    driver, over those link rows, the deferred rows and the unscheduled
-    candidates (appended to the fetched rows as not fetched):
+    driver, over the fetched rows (payload columns dropped) plus the
+    unscheduled candidates as not fetched — numpy and Arrow, no pandas:
+      per-partition stats (np.unique/bincount) → watermark gating
+      token-bucket spend over the tagged candidates
+        (politeness.update_buckets)
+    driver, over the link rows and the deferred rows:
       lineage sink (one file per pass, on a driver thread)
       ONE seen probe per pass (one RPC per shard)            [J1]
       → own/foreign split (foreign links post to the owning
         engine's mailbox)
       → exact dedup + per-partition rowid assignment         [a sort —
         no shuffle, no repartition] → frontier append
-    retry table, metrics, watermark gating
+    retry table (one Arrow filter), metrics
 
-and an atomic checkpoint whose commit point is meta.json (kill anywhere →
-exact resume).
+and an atomic checkpoint (``_commit``: state fragments, then meta.json —
+the commit point; kill anywhere → exact resume).
 
 Watermark semantics (the critical reference invariant [recon:
 ``__init__.py:≈310–330``]): a partition's watermark advances to the max
@@ -60,21 +64,19 @@ import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 from ..config import CrawlConfig
-from ..functions.canonicalize import canonicalize_many, host_of
 from ..functions.hashing import hash64_many
-from ..schemas import BUCKETS, CHECKPOINTS, FRONTIER, LINEAGE, METRICS, RETRY
+from ..schemas import BUCKETS, CHECKPOINTS, LINEAGE, METRICS, RETRY
 from ..sources import synth
 from ..stages.fetch import SimulatedFetchHandler, make_fetch_fn
 from ..stages.links import (assign_rowids, explode_links, make_link_enrich,
                             to_append_shape)
-from ..stages.politeness import schedule_table
+from ..stages.politeness import schedule_table, update_buckets
 from ..stages.scan import make_watermark_filter
 from ..state.seen import SeenSet
 from ..storage import TableStore
@@ -120,57 +122,26 @@ def _meta_name(cfg: CrawlConfig) -> str:
 
 
 # --------------------------------------------------------------------- init
-def build_frontier_rows(urls: list[str], cfg: CrawlConfig, depth: int = 0,
-                        priorities: list[float] | None = None) -> pa.Table:
-    """Enrich raw URLs into FRONTIER rows (without rowids). Seed priority is
-    hash64(RAW url)%1000/1000 per FIXTURES.md §1 — non-canonical variants
-    get their own priority; the per-pass dedup picks the min-rowid copy."""
-    canon = canonicalize_many(urls)
-    hosts = [host_of(c) for c in canon]
-    uh = hash64_many(canon)
-    hh = hash64_many(hosts)
-    P = np.uint64(cfg.num_partitions)
-    pid = (hh % P).astype(np.int32)
-    if cfg.salted_hosts:
-        salted = set(cfg.salted_hosts)
-        mask = np.array([h in salted for h in hosts])
-        if mask.any():
-            pid[mask] = (uh[mask] % P).astype(np.int32)
-    if priorities is None:
-        raw_h = hash64_many(urls)
-        priorities = ((raw_h % np.uint64(1000)).astype(np.float32) / 1000.0)
-    return pa.table(
-        {
-            "partition_id": pa.array(pid, type=pa.int32()),
-            "url": pa.array(urls, type=pa.string()),
-            "canonical_url": pa.array(canon, type=pa.string()),
-            "host": pa.array(hosts, type=pa.string()),
-            "url_hash": pa.array(uh, type=pa.uint64()),
-            "host_hash": pa.array(hh, type=pa.uint64()),
-            "priority": pa.array(np.asarray(priorities, dtype=np.float32)),
-            "depth": pa.array(np.full(len(urls), depth, dtype=np.int32)),
-        }
-    )
+def build_frontier_rows(urls: list[str], cfg: CrawlConfig) -> pa.Table:
+    """Enrich raw seed URLs into FRONTIER rows (without rowids), routed by
+    the link enrich. Seed priority is hash64(RAW url)%1000/1000 per
+    FIXTURES.md §1 — non-canonical variants get their own priority; the
+    per-pass dedup picks the min-rowid copy."""
+    rows = make_link_enrich(cfg.num_partitions, cfg.salted_hosts)(pa.table({
+        "url": pa.array(urls, type=pa.string()),
+        "depth": pa.array(np.zeros(len(urls), dtype=np.int32))}))
+    prio = (hash64_many(urls) % np.uint64(1000)).astype(np.float32) / 1000.0
+    return rows.set_column(rows.schema.get_field_index("priority"),
+                           "priority", pa.array(prio))
 
 
-def assign_seed_rowids(rows: pa.Table, next_rowid: dict[int, int],
-                       pass_id: int = 0) -> pa.Table:
-    """Per-partition rowids in list (append) order — each partition is an
-    independent rowid sequence, like one container DB per replica."""
-    pid = rows.column("partition_id").to_numpy()
-    rowid = np.zeros(len(rows), dtype=np.int64)
-    counters = dict(next_rowid)
-    for i, p in enumerate(pid):
-        p = int(p)
-        c = counters.get(p, 0)
-        rowid[i] = c
-        counters[p] = c + 1
-    next_rowid.clear()
-    next_rowid.update(counters)
-    out = rows.append_column("pass_added",
-                             pa.array(np.full(len(rows), pass_id, dtype=np.int64)))
-    out = out.append_column("rowid", pa.array(rowid))
-    return out.select([f.name for f in FRONTIER])
+def _append_in_list_order(rows: pa.Table, next_rowid: dict[int, int],
+                          pass_id: int) -> pa.Table:
+    """Per-partition rowids in list (append) order: the list position is
+    the order key of ``assign_rowids``'s undeduplicated kind-0 rows."""
+    pos = pa.array(np.arange(len(rows), dtype=np.int64))
+    return assign_rowids(to_append_shape(rows.append_column("rowid", pos), 0),
+                         next_rowid, pass_id)
 
 
 def init_run(root: str, cfg: CrawlConfig, seed_urls: list[str],
@@ -187,8 +158,8 @@ def init_run(root: str, cfg: CrawlConfig, seed_urls: list[str],
                      cfg.cuckoo_capacity, cfg.bloom_bits),
         salted_hosts=cfg.salted_hosts,
     )
-    rows = build_frontier_rows(seed_urls, cfg)
-    seed_tbl = assign_seed_rowids(rows, state.next_rowid, pass_id=0)
+    seed_tbl = _append_in_list_order(build_frontier_rows(seed_urls, cfg),
+                                     state.next_rowid, 0)
     store.append_fragment("frontier", seed_tbl, 0, tag="append",
                           meta=_frontier_meta(seed_tbl))
     # persist robots so resume (any engine, any process) sees the same
@@ -532,12 +503,13 @@ def _drain_mailboxes(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                      pass_id: int) -> int:
     """Pick up committed link intents addressed to this engine, assign
     rowids from this engine's per-partition counters (deterministic order:
-    sender, sender-pass, canonical_url) and append them to the frontier so
-    this very pass can scan them. The mailbox high-water per sender is part
-    of this engine's meta commit, so a killed pass re-drains identically.
+    sender, sender-pass, then canonical_url, depth and raw url — a total
+    order, so copies of a URL posted in any fetch-block order get the same
+    rowids and the shallowest copy is scanned first) and append them to the
+    frontier so this very pass can scan them. The mailbox high-water per
+    sender is part of this engine's meta commit, so a killed pass re-drains
+    identically.
     """
-    import pyarrow.parquet as pq
-
     rows: list[pa.Table] = []
     new_drained = dict(state.drained)
     for e in range(cfg.num_engines):
@@ -550,18 +522,16 @@ def _drain_mailboxes(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             t = store.read_fragment("mailbox",
                                     f"inbox-e{cfg.engine_index}-from-e{e}", sp)
             if t is not None and len(t):
-                t = t.sort_by("canonical_url")
-                rows.append(t)
+                rows.append(t.sort_by([("canonical_url", "ascending"),
+                                       ("depth", "ascending"),
+                                       ("url", "ascending")]))
         if committed > lo:
             new_drained[e] = committed
     state.drained = new_drained
     if not rows:
         return 0
-    tbl = pa.concat_tables(rows)
-    tbl = assign_seed_rowids(tbl.select([
-        "partition_id", "url", "canonical_url", "host", "url_hash",
-        "host_hash", "priority", "depth"]), state.next_rowid,
-        pass_id=pass_id)
+    tbl = _append_in_list_order(pa.concat_tables(rows), state.next_rowid,
+                                pass_id)
     store.append_fragment("frontier", tbl, pass_id,
                           tag=f"append-e{cfg.engine_index}d",
                           meta=_frontier_meta(tbl))
@@ -600,9 +570,6 @@ def _add_cand_cols(t: pa.Table, src: str) -> pa.Table:
         t = t.append_column("last_error", pa.array([""] * n, type=pa.string()))
     t = t.append_column("src", pa.array([src] * n, type=pa.string()))
     return t.select(CAND_SCHEMA.names).cast(CAND_SCHEMA)
-
-
-_OWN_TAGS = ("scheduled", "deferred", "disallowed", "skipped_host", "dup", "seen")
 
 
 def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
@@ -823,71 +790,38 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             .append_column("error", pa.array([""] * len(rest), pa.string()))
             .append_column("doc_id", pa.array([""] * len(rest), pa.string())))
     fetched = _collect(result) if result is not None else None
-    slim_tbl = rest if fetched is None else pa.concat_tables(
+    slim = rest if fetched is None else pa.concat_tables(
         [fetched.drop_columns(["spans", "links"]), rest])
-    slim = slim_tbl.to_pandas()
     _mark("slim_collect")
-    is_scan = (slim["src"] == "scan").to_numpy()
-    sched_a = slim["sched"].to_numpy()
-    ok_a = slim["ok"].to_numpy()
-    pid_a = slim["partition_id"].to_numpy()
-    rowid_a = slim["rowid"].to_numpy()
-    err_gate_m = ((is_scan & (sched_a == "scheduled") & ~ok_a)
-                  | (sched_a == "verify_miss"))
-    flags = pd.DataFrame({
-        "partition_id": pid_a,
-        "scanned": is_scan.astype(np.int64),
-        "scan_rowid": np.where(is_scan, rowid_a, -1),
-        "err_gate": err_gate_m.astype(np.int64),
-        "scheduled": (sched_a == "scheduled").astype(np.int64),
-        "fetched": ok_a.astype(np.int64),
-        "deferred": (sched_a == "deferred").astype(np.int64),
-        "verified": np.isin(sched_a, ("verify_ok", "verify_miss")).astype(
-            np.int64),
-    })
-    pstats = flags.groupby("partition_id").agg(
-        scanned=("scanned", "sum"), scan_max_rowid=("scan_rowid", "max"),
-        err_gate=("err_gate", "sum"), scheduled=("scheduled", "sum"),
-        fetched=("fetched", "sum"), deferred=("deferred", "sum"),
-        verified=("verified", "sum"))
+    is_scan = pc.equal(slim.column("src"), "scan").to_numpy(
+        zero_copy_only=False)
+    sched_a = slim.column("sched").to_numpy(zero_copy_only=False)
+    ok_a = slim.column("ok").to_numpy(zero_copy_only=False)
+    scheduled_m = sched_a == "scheduled"
+    deferred_m = sched_a == "deferred"
+    err_gate_m = (is_scan & scheduled_m & ~ok_a) | (sched_a == "verify_miss")
+    # per-partition stats, in sorted partition order
+    parts, pix = np.unique(slim.column("partition_id").to_numpy(),
+                           return_inverse=True)
+    p_scanned, p_err, p_sched, p_fetched = (
+        np.bincount(pix[m], minlength=len(parts))
+        for m in (is_scan, err_gate_m, scheduled_m, ok_a))
+    p_max = np.full(len(parts), -1, dtype=np.int64)
+    rowid_a = slim.column("rowid").to_numpy()
+    np.maximum.at(p_max, pix[is_scan], rowid_a[is_scan])
 
     # ---- watermark gating (all-or-nothing per chunk) ---------------------
-    advanced: set[int] = set()
-    for p, row in pstats.iterrows():
-        if row["scanned"] > 0 and row["err_gate"] == 0:
-            state.watermarks[int(p)] = int(row["scan_max_rowid"])
-            advanced.add(int(p))
+    adv = (p_scanned > 0) & (p_err == 0)
+    advanced = parts[adv].tolist()
+    state.watermarks.update(zip(advanced, p_max[adv].tolist()))
 
     # ---- host bucket updates --------------------------------------------
-    own_m = np.isin(sched_a, _OWN_TAGS)
-    sched_counts = (slim.loc[own_m]
-                    .assign(s=(sched_a[own_m] == "scheduled").astype(np.int64))
-                    .groupby("host")["s"].sum())
-    from ..stages.politeness import _allowed as _robots_allowed
-    for host, m in sched_counts.items():
-        rb = state.robots.get(host)
-        rules = rb["rules"] if rb else [{"allow": True, "path_prefix": "/"}]
-        if not _robots_allowed(rules, "/"):
-            continue  # skip-all hosts never touch their bucket (same
-            # first-match predicate as the scheduler — no drift)
-        delay = rb["crawl_delay_ms"] if rb else 1000
-        rate = cfg.pass_time_ms / max(1.0, float(delay))
-        cap = max(1.0, cfg.bucket_capacity_factor * rate)
-        stored = state.buckets.get(host, cap)
-        nb = min(cap, stored + rate) - int(m)
-        # bound driver memory to hosts with outstanding debt: an entry
-        # that would refill to capacity next pass (nb + rate >= cap)
-        # behaves exactly like an absent entry (avail = cap either way),
-        # so drop it — at 10^8 hosts the dict holds only the recently
-        # throttled head, not every host ever scheduled
-        if nb + rate >= cap:
-            state.buckets.pop(host, None)
-        else:
-            state.buckets[host] = nb
+    update_buckets(cand, state.robots, state.buckets, cfg.pass_time_ms,
+                   cfg.bucket_capacity_factor)
 
     # ---- join the link branch (docs sink keeps writing concurrently —
     # it is only joined right before the commit point below) ---------------
-    n_fetched = int(pstats["fetched"].sum()) if len(pstats) else 0
+    n_fetched = int(ok_a.sum())
     novel = flat_fut.result()
     n_links = 0 if novel is None else len(novel)
     lineage_fut = None
@@ -903,13 +837,11 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
 
     # ---- frontier append: deferred re-queue (advanced partitions only)
     # + novel links, rowids assigned on the driver ----------------------
-    deferred_m = ((sched_a == "deferred") & is_scan
-                  & np.isin(pid_a, np.fromiter(advanced, dtype=np.int64,
-                                               count=len(advanced))))
+    requeue_m = deferred_m & is_scan & adv[pix]
     append_pieces = []
-    if deferred_m.any():
+    if requeue_m.any():
         append_pieces.append(
-            to_append_shape(slim_tbl.filter(pa.array(deferred_m)), 0))
+            to_append_shape(slim.filter(pa.array(requeue_m)), 0))
     if novel is not None:
         # foreign-partition links are POSTED, not appended: only the
         # owning engine may assign rowids in its partitions
@@ -965,35 +897,17 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     _mark("frontier_append")
 
     # ---- next retry table (from the slim collection) ---------------------
-    failed_m = (sched_a == "scheduled") & ~ok_a
-    deferred_retry_m = (sched_a == "deferred") & ~is_scan
-    keep_m = failed_m | deferred_retry_m
-    rslim = slim.loc[keep_m]
-    att = rslim["attempts"].to_numpy().astype(np.int32) \
-        + failed_m[keep_m].astype(np.int32)
-    last_err = np.where(failed_m[keep_m], rslim["error"].to_numpy(),
-                        rslim["last_error"].to_numpy())
-    retry_next = pa.table(
-        {
-            "rowid": pa.array(rslim["rowid"].to_numpy()),
-            "partition_id": pa.array(
-                rslim["partition_id"].to_numpy().astype(np.int32)),
-            "url": pa.array(rslim["url"].tolist(), type=pa.string()),
-            "canonical_url": pa.array(rslim["canonical_url"].tolist(),
-                                      type=pa.string()),
-            "host": pa.array(rslim["host"].tolist(), type=pa.string()),
-            "url_hash": pa.array(rslim["url_hash"].to_numpy().astype(np.uint64)),
-            "host_hash": pa.array(
-                rslim["host_hash"].to_numpy().astype(np.uint64)),
-            "priority": pa.array(
-                rslim["priority"].to_numpy().astype(np.float32)),
-            "depth": pa.array(rslim["depth"].to_numpy().astype(np.int32)),
-            "pass_added": pa.array(rslim["pass_added"].to_numpy()),
-            "attempts": pa.array(att),
-            "last_error": pa.array(last_err.tolist(), type=pa.string()),
-        },
-        schema=RETRY,
-    ) if keep_m.any() else _empty_retry()
+    failed_m = scheduled_m & ~ok_a
+    keep_m = failed_m | (deferred_m & ~is_scan)
+    kept = slim.filter(pa.array(keep_m))
+    failed_k = pa.array(failed_m[keep_m])
+    retry_next = pa.table({
+        **{c: kept.column(c) for c in RETRY.names},
+        "attempts": pc.add(kept.column("attempts"),
+                           pc.cast(failed_k, pa.int32())),
+        "last_error": pc.if_else(failed_k, kept.column("error"),
+                                 kept.column("last_error")),
+    }, schema=RETRY)
     _mark("retry")
 
     # ---- commit (docs + lineage sinks must be durable BEFORE meta
@@ -1008,18 +922,17 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # (partition_id -1), each with its own wall; written before the state
     # fragments, so a torn pass purges it ---------------------------------
     wall_ms = int((time.monotonic() - t0) * 1000)
-    n_sched = int(pstats["scheduled"].sum()) if len(pstats) else 0
+    n_sched = int(scheduled_m.sum())
     mrows = []
-    for p, row in pstats.iterrows():
-        mrows.append({"pass_id": pass_id, "partition_id": int(p),
-                      "stage": "scan", "rows_in": int(row["scanned"]),
-                      "rows_out": int(row["scheduled"]),
-                      "errors": int(row["err_gate"]),
-                      "wall_ms": int(_tm["scan"] * 1000)})
-        mrows.append({"pass_id": pass_id, "partition_id": int(p),
-                      "stage": "fetch", "rows_in": int(row["scheduled"]),
-                      "rows_out": int(row["fetched"]),
-                      "errors": int(row["scheduled"] - row["fetched"]),
+    for p, sc, er, sd, ft in zip(parts.tolist(), p_scanned.tolist(),
+                                 p_err.tolist(), p_sched.tolist(),
+                                 p_fetched.tolist()):
+        mrows.append({"pass_id": pass_id, "partition_id": p,
+                      "stage": "scan", "rows_in": sc, "rows_out": sd,
+                      "errors": er, "wall_ms": int(_tm["scan"] * 1000)})
+        mrows.append({"pass_id": pass_id, "partition_id": p,
+                      "stage": "fetch", "rows_in": sd, "rows_out": ft,
+                      "errors": sd - ft,
                       "wall_ms": int(_tm["probe_sched_fetch"] * 1000)})
     counts = {"scan": (0, n_cand, 0),
               "probe_sched_fetch": (n_cand, n_fetched, n_sched - n_fetched),
@@ -1034,26 +947,20 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                       "errors": err, "wall_ms": int(sec * 1000)})
     store.append_fragment("metrics", pa.Table.from_pylist(mrows, schema=METRICS),
                           pass_id, tag="metrics")
-    state.pass_id = pass_id
-    _write_state_fragments(store, cfg, state, retry_tbl=retry_next)
-    store.write_meta({"pass_id": pass_id,
-                      "num_partitions": cfg.num_partitions,
-                      "drained": state.drained,
-                      "salted_hosts": sorted(state.salted_hosts)},
-                     name=_meta_name(cfg))
+    _commit(store, cfg, state, pass_id, retry_next)
     _mark("checkpoint")
     return {
         "pass_id": pass_id,
         "candidates": n_cand,
-        "scanned": int(pstats["scanned"].sum()),
+        "scanned": int(is_scan.sum()),
         "scheduled": n_sched,
         "fetched": n_fetched,
-        "errors": int(pstats["err_gate"].sum()),
-        "deferred": int(pstats["deferred"].sum()),
+        "errors": int(err_gate_m.sum()),
+        "deferred": int(deferred_m.sum()),
         "new_frontier_rows": n_new_links,
         "retry_size": len(retry_next),
         "dead": n_dead,
-        "advanced_partitions": sorted(advanced),
+        "advanced_partitions": advanced,
         "wall_ms": wall_ms,
         "timings": _tm,
         "done": False,
@@ -1070,17 +977,21 @@ def _collect(ds) -> pa.Table | None:
     return pa.concat_tables(tbls) if tbls else None
 
 
-def _empty_retry() -> pa.Table:
-    return pa.Table.from_pylist([], schema=RETRY)
-
-
-def _finalize_empty_pass(store, cfg, state, pass_id, t0, n_dead=0) -> dict:
+def _commit(store: TableStore, cfg: CrawlConfig, state: CrawlState,
+            pass_id: int, retry_tbl: pa.Table) -> None:
+    """Make pass *pass_id* durable: the state fragments, then this
+    engine's meta — the commit point."""
     state.pass_id = pass_id
-    _write_state_fragments(store, cfg, state, retry_tbl=_empty_retry())
-    store.write_meta({"pass_id": pass_id, "num_partitions": cfg.num_partitions,
+    _write_state_fragments(store, cfg, state, retry_tbl=retry_tbl)
+    store.write_meta({"pass_id": pass_id,
+                      "num_partitions": cfg.num_partitions,
                       "drained": state.drained,
                       "salted_hosts": sorted(state.salted_hosts)},
                      name=_meta_name(cfg))
+
+
+def _finalize_empty_pass(store, cfg, state, pass_id, t0, n_dead=0) -> dict:
+    _commit(store, cfg, state, pass_id, RETRY.empty_table())
     return {"pass_id": pass_id, "candidates": 0, "scanned": 0, "scheduled": 0,
             "fetched": 0, "errors": 0, "deferred": 0, "new_frontier_rows": 0,
             "retry_size": 0, "dead": n_dead, "advanced_partitions": [],

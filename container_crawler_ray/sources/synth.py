@@ -12,10 +12,8 @@ The world is closed: out-links map back into the bounded
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from ..functions.hashing import hash64
-from ..schemas import ROBOTS
 
 # Hosts with path-prefix disallow rules, and the one fully-disallowed host
 # (the SkipContainer analog — FIXTURES.md §4).
@@ -29,11 +27,6 @@ def host_name(host_id: int) -> str:
 
 def seed_url(host_id: int, path_id: int) -> str:
     return f"http://{host_name(host_id)}/p/{path_id}"
-
-
-def url_priority(url: str) -> float:
-    """FIXTURES.md §1: hash64(url) % 1000 / 1000.0 (on the raw seed url)."""
-    return (hash64(url) % 1000) / 1000.0
 
 
 def make_seed_urls(n: int, seed: int = 42, n_hosts: int = 200,
@@ -73,18 +66,6 @@ def robots_rules(host: str) -> list[dict]:
         rules.append({"allow": False, "path_prefix": "/p/1"})
     rules.append({"allow": True, "path_prefix": "/"})
     return rules
-
-
-def robots_table(n_hosts: int = 200) -> pa.Table:
-    hosts = [host_name(i) for i in range(n_hosts)]
-    return pa.table(
-        {
-            "host": hosts,
-            "crawl_delay_ms": [robots_delay_ms(h) for h in hosts],
-            "rules": [robots_rules(h) for h in hosts],
-        },
-        schema=ROBOTS,
-    )
 
 
 def robots_lookup(n_hosts: int = 200) -> dict[str, dict]:

@@ -17,8 +17,8 @@ Ray-Data re-expression:
   error capture into an ``error`` column (exceptions never kill the task,
   mirroring the reference's error list).
 - output is columnar: ok/error/doc_id/spans/links appended to the input
-  batch; only rows tagged ``scheduled`` are fetched, everything else
-  passes through (so one materialized pass result carries all branches).
+  batch. Every row it receives is fetched: ``run_pass`` dispatches only
+  the rows tagged ``scheduled`` and joins the rest back on the driver.
 """
 
 from __future__ import annotations
@@ -100,38 +100,32 @@ class SimulatedFetchHandler(FetchHandler):
 
 
 def apply_fetch(handler: FetchHandler, bulk: bool, t: pa.Table) -> pa.Table:
-    """The fetch kernel: fetch rows tagged ``scheduled``, per-row (errors
-    captured per row) or bulk (one handle_batch per chunk,
-    all-or-nothing)."""
+    """The fetch kernel: fetch every row of *t* (the pass dispatches only
+    its scheduled rows), per-row (errors captured per row) or bulk (one
+    handle_batch per chunk, all-or-nothing)."""
     n = len(t)
-    sched = np.asarray(t.column("sched").to_pylist())
-    todo = np.flatnonzero(sched == "scheduled")
+    rows = t.to_pylist()
     ok = np.zeros(n, dtype=bool)
     err = [""] * n
     spans: list = [None] * n
     links: list = [None] * n
-    if len(todo):
-        rows = t.take(pa.array(todo)).to_pylist()
-        if bulk:
+    if bulk:
+        try:
+            for i, r in enumerate(handler.handle_batch(rows)):
+                ok[i] = True
+                spans[i] = r["spans"]
+                links[i] = r["links"]
+        except Exception as e:  # noqa: BLE001 — incl. RetryError
+            err = [f"{type(e).__name__}: {e}"] * n
+    else:
+        for i, row in enumerate(rows):
             try:
-                results = handler.handle_batch(rows)
-                for i, r in zip(todo, results):
-                    ok[i] = True
-                    spans[i] = r["spans"]
-                    links[i] = r["links"]
-            except Exception as e:  # noqa: BLE001 — incl. RetryError
-                msg = f"{type(e).__name__}: {e}"
-                for i in todo:
-                    err[i] = msg
-        else:
-            for i, row in zip(todo, rows):
-                try:
-                    r = handler.handle_row(row)
-                    ok[i] = True
-                    spans[i] = r["spans"]
-                    links[i] = r["links"]
-                except Exception as e:  # noqa: BLE001
-                    err[i] = f"{type(e).__name__}: {e}"
+                r = handler.handle_row(row)
+                ok[i] = True
+                spans[i] = r["spans"]
+                links[i] = r["links"]
+            except Exception as e:  # noqa: BLE001
+                err[i] = f"{type(e).__name__}: {e}"
     uh = t.column("url_hash").to_numpy()
     doc_id = [f"{int(h):016x}" if ok[i] else "" for i, h in enumerate(uh)]
     t = t.append_column("ok", pa.array(ok))

@@ -26,6 +26,11 @@ an exchange (the candidate set is bounded by
    Bucket state: ``available = min(capacity, stored + rate)`` with
    ``rate = pass_time_ms / crawl_delay_ms`` (virtual time → deterministic).
 
+``update_buckets`` then spends the tagged pass's tokens over the same host
+grouping: each host with an owned row stores ``available - scheduled``.
+Both read the rate, capacity and available tokens from ``_host_policy``,
+the one place the bucket policy is written.
+
 Rows keep flowing with a ``sched`` tag instead of being dropped, so one
 pass result carries every branch (metrics, deferral, verify).
 Tags: scheduled | deferred | disallowed | skipped_host | dup | seen |
@@ -41,8 +46,6 @@ import ray
 
 from ..functions.canonicalize import path_of
 
-_ALLOW_ALL = [{"allow": True, "path_prefix": "/"}]
-
 
 def schedule_table(t: pa.Table, robots: dict, buckets: dict,
                    pass_time_ms: float, capacity_factor: float) -> pa.Table:
@@ -55,8 +58,8 @@ def schedule_table(t: pa.Table, robots: dict, buckets: dict,
     sched[~own & seen] = "verify_ok"
     sched[~own & ~seen] = "verify_miss"
 
-    hosts_u, first, hidx = np.unique(t.column("host_hash").to_numpy(),
-                                     return_index=True, return_inverse=True)
+    _, first, hidx = np.unique(t.column("host_hash").to_numpy(),
+                               return_index=True, return_inverse=True)
     uh = t.column("url_hash").to_numpy()
     rowid = t.column("rowid").to_numpy()
     pid = t.column("partition_id").to_numpy()
@@ -75,23 +78,10 @@ def schedule_table(t: pa.Table, robots: dict, buckets: dict,
     sched[dup] = "dup"
     sched[own & ~dup & seen & ~is_retry] = "seen"
 
-    # robots and budgets: one dict lookup per distinct host
-    budget = np.zeros(len(hosts_u), dtype=np.int64)
-    skip = np.zeros(len(hosts_u), dtype=bool)
-    ruled: dict[int, list] = {}
-    for h, host in enumerate(t.column("host").take(first).to_pylist()):
-        rb = robots.get(host)
-        rules = rb["rules"] if rb else _ALLOW_ALL
-        if not _allowed(rules, "/"):
-            skip[h] = True      # SkipContainer analog: whole host skipped
-            continue
-        if not (len(rules) == 1 and rules[0]["allow"]
-                and rules[0]["path_prefix"] == "/"):
-            ruled[h] = rules
-        rate = pass_time_ms / max(1.0, float(rb["crawl_delay_ms"] if rb
-                                             else 1000))
-        cap = max(1.0, capacity_factor * rate)
-        budget[h] = int(min(cap, buckets.get(host, cap) + rate))
+    skip, ruled, _, _, avail = _host_policy(
+        t.column("host").take(first).to_pylist(), robots, buckets,
+        pass_time_ms, capacity_factor)
+    budget = avail.astype(np.int64)
     cand = sched == ""
     sched[cand & skip[hidx]] = "skipped_host"
     cand &= ~skip[hidx]
@@ -125,6 +115,61 @@ def make_schedule_fn(robots_ref, buckets_ref, cfg_pass_time_ms: float,
         return schedule_table(t, ray.get(robots_ref), ray.get(buckets_ref),
                               cfg_pass_time_ms, cfg_capacity_factor)
     return schedule
+
+
+def update_buckets(t: pa.Table, robots: dict, buckets: dict,
+                   pass_time_ms: float, capacity_factor: float) -> None:
+    """Spend a tagged pass's tokens in *buckets*, in place: each host with
+    an owned row stores ``available - scheduled``. An entry that would
+    refill to capacity by the next pass (``left + rate >= capacity``)
+    reads exactly like an absent one, so it is dropped (a skip-all host,
+    which schedules nothing, always is): at 10^8 hosts the dict holds
+    only the throttled head."""
+    oidx = np.flatnonzero(t.column("owned").to_numpy())
+    _, first, hidx = np.unique(t.column("host_hash").to_numpy()[oidx],
+                               return_index=True, return_inverse=True)
+    hosts = t.column("host").take(oidx[first]).to_pylist()
+    sched_m = pc.equal(t.column("sched"), "scheduled").to_numpy(
+        zero_copy_only=False)[oidx]
+    spent = np.bincount(hidx[sched_m], minlength=len(hosts))
+    _, _, rate, cap, avail = _host_policy(hosts, robots, buckets,
+                                          pass_time_ms, capacity_factor)
+    left = avail - spent
+    for host, full, v in zip(hosts, left + rate >= cap, left.tolist()):
+        if full:
+            buckets.pop(host, None)
+        else:
+            buckets[host] = v
+
+
+def _host_policy(hosts: list[str], robots: dict, buckets: dict,
+                 pass_time_ms: float, capacity_factor: float):
+    """The per-host robots and token-bucket policy, one dict lookup per
+    distinct host: (skip-all mask, {index: non-trivial rules}, refill
+    rate, capacity, available tokens) with ``rate = pass_time_ms /
+    crawl_delay_ms`` (virtual time, so deterministic), ``capacity =
+    max(1, capacity_factor × rate)`` and ``available = min(capacity,
+    stored + rate)``, an absent bucket reading as full."""
+    skip = np.zeros(len(hosts), dtype=bool)
+    delay = np.full(len(hosts), 1000.0)
+    ruled: dict[int, list] = {}
+    for h, host in enumerate(hosts):
+        rb = robots.get(host)
+        if not rb:
+            continue            # absent: allow all, 1 s delay
+        rules = rb["rules"]
+        if not _allowed(rules, "/"):
+            skip[h] = True      # SkipContainer analog: whole host skipped
+        elif not (len(rules) == 1 and rules[0]["allow"]
+                  and rules[0]["path_prefix"] == "/"):
+            ruled[h] = rules
+        delay[h] = rb["crawl_delay_ms"]
+    rate = pass_time_ms / np.maximum(1.0, delay)
+    cap = np.maximum(1.0, capacity_factor * rate)
+    stored = np.array([buckets.get(host, c)
+                       for host, c in zip(hosts, cap.tolist())],
+                      dtype=np.float64)
+    return skip, ruled, rate, cap, np.minimum(cap, stored + rate)
 
 
 def _allowed(rules: list[dict], path: str) -> bool:

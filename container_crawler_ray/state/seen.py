@@ -1,13 +1,16 @@
 """Sharded URL-seen set as named Ray actors (SURVEY.md §4.3, T5/J1).
 
-Ray Data actor pools do not route batches by key, so the seen-set shards are
-standalone named actors (``seen-<run>-<i>`` in the ``ccrawl`` namespace),
-probed from inside ``map_batches`` UDFs with one batched RPC per shard per
-batch (keys grouped by ``url_hash % S`` first — never one RPC per row).
-
-At cluster scale each shard actor lands on some node and every fetch task
-talks to all S shards with vectorized hash arrays; S scales the aggregate
+The seen-set shards are standalone named actors (``seen-<run>-<i>`` in the
+``ccrawl`` namespace), so every engine of a run resolves the same set.
+Every probe and mark is a driver call from ``run_pass``: one batched RPC
+per shard per call (keys grouped by ``url_hash % S`` first — never one RPC
+per row), once for the pass's candidates, once for the scheduled marks and
+once for the discovered links. S scales the shard memory, the aggregate
 probe throughput and the checkpoint fan-out.
+
+A shard checkpoints its filter as ``SpillFilter.to_state()``; the one row
+codec between that state and the ``seen_shards`` table is
+``SeenSet.snapshot_table`` / ``restore_from_table``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pyarrow as pa
 import ray
 
 from ..schemas import SEEN_SHARDS
-from .cuckoo import BloomFilter, CuckooFilter, SpillFilter
+from .cuckoo import SpillFilter
 
 NAMESPACE = "ccrawl"
 
@@ -26,8 +29,7 @@ NAMESPACE = "ccrawl"
 class SeenShard:
     """One shard of the URL-seen set: a cuckoo filter with bloom spill."""
 
-    def __init__(self, shard_id: int, cuckoo_capacity: int, bloom_bits: int):
-        self.shard_id = shard_id
+    def __init__(self, cuckoo_capacity: int, bloom_bits: int):
         self.filter = SpillFilter(cuckoo_capacity, bloom_bits)
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
@@ -35,11 +37,6 @@ class SeenShard:
 
     def contains_add(self, hashes: np.ndarray) -> np.ndarray:
         return self.filter.contains_add_many(hashes)
-
-    def add(self, hashes: np.ndarray) -> int:
-        novel = ~self.filter.contains_many(hashes)
-        self.filter.add_novel(np.unique(hashes[novel]))
-        return int(novel.sum())
 
     def num_items(self) -> int:
         return self.filter.num_items
@@ -51,43 +48,15 @@ class SeenShard:
         return [removed, residual]
 
     def snapshot(self) -> dict:
-        st = self.filter.to_state()
-        return {
-            "shard_id": self.shard_id,
-            "cuckoo_bits": st["cuckoo"]["bits"],
-            "cuckoo_count": st["cuckoo"]["count"],
-            "cuckoo_nbuckets": st["cuckoo"]["nbuckets"],
-            "stash": st["cuckoo"]["stash"],
-            "bloom_bits": st["bloom"]["bits"],
-            "bloom_nbits": st["bloom"]["nbits"],
-            "bloom_count": st["bloom"]["count"],
-            "spilled": st["spilled"],
-        }
+        return self.filter.to_state()
 
-    def restore(self, snap: dict) -> None:
-        self.filter = SpillFilter.from_state(
-            {
-                "cuckoo": {
-                    "kind": "cuckoo",
-                    "nbuckets": snap["cuckoo_nbuckets"],
-                    "bits": snap["cuckoo_bits"],
-                    "count": snap["cuckoo_count"],
-                    "stash": snap["stash"],
-                },
-                "bloom": {
-                    "kind": "bloom",
-                    "nbits": snap["bloom_nbits"],
-                    "bits": snap["bloom_bits"],
-                    "count": snap["bloom_count"],
-                },
-                "spilled": snap["spilled"],
-            }
-        )
+    def restore(self, st: dict) -> None:
+        self.filter = SpillFilter.from_state(st)
 
 
 class SeenSet:
-    """Client handle over the S shard actors; usable from the driver and
-    (re-resolved by name) from inside map_batches workers."""
+    """Driver-side client handle over the S shard actors (resolved by
+    name, so another engine's handle reaches the same shards)."""
 
     def __init__(self, run_id: str, num_shards: int,
                  cuckoo_capacity: int = 1 << 17, bloom_bits: int = 1 << 22):
@@ -112,7 +81,7 @@ class SeenSet:
                 SeenShard.options(
                     name=self._name(i), namespace=NAMESPACE,
                     get_if_exists=True, lifetime="detached",
-                ).remote(i, self.cuckoo_capacity, self.bloom_bits)
+                ).remote(self.cuckoo_capacity, self.bloom_bits)
                 for i in range(self.num_shards)
             ]
         return self._actors
@@ -153,9 +122,6 @@ class SeenSet:
         """was_novel mask; novel keys become members atomically per shard."""
         return self._scatter_gather(hashes, "contains_add")
 
-    def num_items(self) -> int:
-        return sum(ray.get([a.num_items.remote() for a in self.actors]))
-
     def remove(self, hashes: np.ndarray,
                only_shards: set[int] | None = None) -> tuple[int, int]:
         """Delete keys from their shards (torn-pass mark rollback),
@@ -188,26 +154,23 @@ class SeenSet:
 
     # ---------------------------------------------------------- checkpoint
     def snapshot_table(self, shard_ids: list[int] | None = None) -> pa.Table:
-        actors = (self.actors if shard_ids is None
-                  else [self.actors[i] for i in shard_ids])
-        snaps = ray.get([a.snapshot.remote() for a in actors])
+        """Checkpoint rows of the given shards (default: all), four per
+        shard: an int64 header (cuckoo buckets, cuckoo count, bloom bits,
+        bloom count, spilled), the cuckoo slots, the stash as flat uint64
+        (bucket, fingerprint) pairs and the bloom words."""
+        ids = list(range(self.num_shards)) if shard_ids is None else shard_ids
+        states = ray.get([self.actors[i].snapshot.remote() for i in ids])
         rows = {"shard_id": [], "kind": [], "bits": [], "num_items": []}
-        for s in snaps:
-            stash = np.array(
-                [v for pair in s["stash"] for v in pair], dtype=np.uint64
-            ).tobytes()
-            hdr = np.array(
-                [s["cuckoo_nbuckets"], s["cuckoo_count"],
-                 s["bloom_nbits"], s["bloom_count"], s["spilled"]],
-                dtype=np.int64,
-            ).tobytes()
-            for kind, bits, n in (
-                ("header", hdr, 0),
-                ("cuckoo", s["cuckoo_bits"], s["cuckoo_count"]),
-                ("stash", stash, len(s["stash"])),
-                ("bloom", s["bloom_bits"], s["bloom_count"]),
-            ):
-                rows["shard_id"].append(s["shard_id"])
+        for sid, st in zip(ids, states):
+            ck, bl = st["cuckoo"], st["bloom"]
+            hdr = np.array([ck["nbuckets"], ck["count"], bl["nbits"],
+                            bl["count"], st["spilled"]], dtype=np.int64)
+            stash = np.array(ck["stash"], dtype=np.uint64).reshape(-1)
+            for kind, bits, n in (("header", hdr.tobytes(), 0),
+                                  ("cuckoo", ck["bits"], ck["count"]),
+                                  ("stash", stash.tobytes(), len(ck["stash"])),
+                                  ("bloom", bl["bits"], bl["count"])):
+                rows["shard_id"].append(sid)
                 rows["kind"].append(kind)
                 rows["bits"].append(bits)
                 rows["num_items"].append(n)
@@ -218,34 +181,29 @@ class SeenSet:
 
     def restore_from_table(self, table: pa.Table,
                            only_shards: set[int] | None = None) -> None:
-        """Restore shard filters from a snapshot fragment. *only_shards*
-        restricts which shard ids are touched — multi-engine resume uses
-        it to avoid rolling back LIVE shards another engine is actively
-        marking (restoring a live shard would erase its in-flight seen
-        marks and permit duplicate fetches)."""
-        by_shard: dict[int, dict[str, tuple[bytes, int]]] = {}
-        for row in table.to_pylist():
-            if only_shards is not None and row["shard_id"] not in only_shards:
-                continue
-            by_shard.setdefault(row["shard_id"], {})[row["kind"]] = (
-                row["bits"], row["num_items"])
+        """Restore shard filters from a ``snapshot_table`` fragment.
+        *only_shards* restricts which shard ids are touched — multi-engine
+        resume uses it to avoid rolling back LIVE shards another engine is
+        actively marking (restoring a live shard would erase its in-flight
+        seen marks and permit duplicate fetches)."""
+        by_shard: dict[int, dict[str, bytes]] = {}
+        for row in table.select(["shard_id", "kind", "bits"]).to_pylist():
+            if only_shards is None or row["shard_id"] in only_shards:
+                by_shard.setdefault(row["shard_id"], {})[row["kind"]] = \
+                    row["bits"]
         refs = []
         for sid, parts in by_shard.items():
-            hdr = np.frombuffer(parts["header"][0], dtype=np.int64)
-            stash_flat = np.frombuffer(parts["stash"][0], dtype=np.uint64)
-            snap = {
-                "shard_id": sid,
-                "cuckoo_nbuckets": int(hdr[0]),
-                "cuckoo_count": int(hdr[1]),
-                "bloom_nbits": int(hdr[2]),
-                "bloom_count": int(hdr[3]),
-                "spilled": int(hdr[4]),
-                "cuckoo_bits": parts["cuckoo"][0],
-                "bloom_bits": parts["bloom"][0],
-                "stash": [(int(stash_flat[i]), int(stash_flat[i + 1]))
-                          for i in range(0, len(stash_flat), 2)],
-            }
-            refs.append(self.actors[sid].restore.remote(snap))
+            nbuckets, ccount, nbits, bcount, spilled = np.frombuffer(
+                parts["header"], dtype=np.int64).tolist()
+            stash = np.frombuffer(parts["stash"], dtype=np.uint64)
+            refs.append(self.actors[sid].restore.remote({
+                "cuckoo": {"nbuckets": nbuckets, "bits": parts["cuckoo"],
+                           "count": ccount,
+                           "stash": stash.reshape(-1, 2).tolist()},
+                "bloom": {"nbits": nbits, "bits": parts["bloom"],
+                          "count": bcount},
+                "spilled": spilled,
+            }))
         ray.get(refs)
 
     def teardown(self) -> None:

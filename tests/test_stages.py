@@ -1,6 +1,6 @@
-"""Unit tests for the pass stages that run without a crawl: driver-side
-rowid assignment, the politeness schedule and the per-worker cache of the
-mapped fetch function."""
+"""Unit tests for the pass stages that run without a crawl: URL routing,
+driver-side rowid assignment, the politeness schedule and the per-worker
+cache of the mapped fetch function."""
 
 import itertools
 import pickle
@@ -11,11 +11,19 @@ import ray
 from hypothesis import given, settings, strategies as st
 from ray import cloudpickle
 
+from container_crawler_ray.config import CrawlConfig
+from container_crawler_ray.functions.canonicalize import canonicalize_url
+from container_crawler_ray.pipelines.crawl import (_append_in_list_order,
+                                                   build_frontier_rows)
 from container_crawler_ray.stages import fetch
-from container_crawler_ray.stages.links import assign_rowids, to_append_shape
+from container_crawler_ray.stages.links import (assign_rowids,
+                                                make_link_enrich,
+                                                to_append_shape)
 from container_crawler_ray.stages.politeness import (_allowed,
                                                      make_schedule_fn,
                                                      schedule_table)
+
+from .oracle import _mk_row, init_oracle
 
 
 def _rows(pid, url, canon, depth, rowid=None):
@@ -71,6 +79,62 @@ def test_assign_rowids_dedup_order_and_dense_rowids():
     assert next_rowid == {0: 15, 1: 4}
 
 
+# ---------------------------------------------------------------- routing
+_SALTED = "h3.example"
+_url = st.builds(
+    lambda scheme, host, port, path, q, frag:
+        f"{scheme}://{host}{port}/p/{path}{q}{frag}",
+    scheme=st.sampled_from(["http", "HTTP"]),
+    host=st.sampled_from(["h0.example", "H0.EXAMPLE", "h1.example",
+                          "h2.Example", _SALTED, "H3.example"]),
+    port=st.sampled_from(["", ":80", ":8080"]),
+    path=st.integers(0, 40),
+    q=st.sampled_from(["", "?a=1&b=2", "?b=2&a=1"]),
+    frag=st.sampled_from(["", "#frag"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_url, min_size=1, max_size=40),
+       st.lists(st.integers(0, 39), max_size=8),
+       st.sampled_from([1, 5, 8]))
+def test_routing_matches_oracle(urls, dup_at, num_partitions):
+    """Seed rows (routing plus per-partition rowids in list order) and
+    link rows equal the spec oracle's, row by row: partition, canonical
+    URL, both hashes, priority and rowid, over uppercase hosts, default
+    and other ports, fragments, reordered queries, verbatim duplicates
+    and one salted host."""
+    urls = urls + [urls[i % len(urls)] for i in dup_at]
+    cfg = CrawlConfig(num_partitions=num_partitions, salted_hosts=(_SALTED,))
+
+    def prio(n):
+        return float(np.float32(n) / np.float32(1000))
+
+    st_, _ = init_oracle(cfg, urls, robots={})
+    want = sorted((r.partition_id, r.rowid, r.url, r.canonical_url, r.host,
+                   r.url_hash, r.host_hash, prio(r.priority_n), 0)
+                  for rows in st_.frontier.values() for r in rows)
+    next_rowid: dict = {}
+    seeds = _append_in_list_order(build_frontier_rows(urls, cfg),
+                                  next_rowid, 0)
+    got = sorted((r["partition_id"], r["rowid"], r["url"],
+                  r["canonical_url"], r["host"], r["url_hash"],
+                  r["host_hash"], r["priority"], r["depth"])
+                 for r in seeds.to_pylist())
+    assert got == want
+    assert next_rowid == st_.next_rowid
+
+    depth = list(range(len(urls)))
+    links = make_link_enrich(num_partitions, cfg.salted_hosts)(pa.table({
+        "url": urls, "depth": pa.array(depth, type=pa.int32())}))
+    for r, u, d in zip(links.to_pylist(), urls, depth):
+        o = _mk_row(cfg, u, d, 0, priority_src=canonicalize_url(u))
+        assert (r["partition_id"], r["url"], r["canonical_url"], r["host"],
+                r["url_hash"], r["host_hash"], r["priority"], r["depth"]) \
+            == (o.partition_id, o.url, o.canonical_url, o.host, o.url_hash,
+                o.host_hash, prio(o.priority_n), o.depth)
+
+
 class _StubRef:
     def hex(self):
         return "stub-handler"
@@ -84,13 +148,13 @@ def test_mapped_fns_use_module_cache_after_pickling():
         fetch.make_fetch_fn(_StubRef(), False)))
     # filled only now: the function can see this entry only through the
     # module's dict (a miss would ray.get the stub ref)
-    fetch._HANDLERS["stub-handler"] = fetch.SimulatedFetchHandler(5, 10, 0)
+    # (fail_mod=1: every first attempt fails, every retry succeeds)
+    fetch._HANDLERS["stub-handler"] = fetch.SimulatedFetchHandler(5, 10, 1)
     try:
         out = fetch_fn(pa.table({
-            "sched": ["scheduled", "deferred"],
             "canonical_url": ["http://h0001.example/p/1",
                               "http://h0001.example/p/2"],
-            "attempts": pa.array([0, 0], type=pa.int32()),
+            "attempts": pa.array([1, 0], type=pa.int32()),
             "url_hash": pa.array([1, 2], type=pa.uint64())}))
         assert out.column("ok").to_pylist() == [True, False]
     finally:
