@@ -7,12 +7,13 @@ handle_container/process_items].
 Per-pass dataflow. Candidates are bounded by
 ``num_partitions × items_chunk + |retry|`` — the reference's micro-batch
 invariant — so every per-pass table is bounded regardless of frontier size,
-and the pass runs no shuffle and no repartition:
+and the pass runs ONE Ray Data execution (the fetch map), no shuffle and no
+repartition:
 
-    read_parquet(frontier fragments, filter=rowid > min(wm))
-      → map_batches(watermark WINDOW filter, vectorized)       [S1/O3]
-        (= sort+head(chunk), shuffle-free: per-partition rowids are dense)
-      → blocks read zero-copy on the driver
+    driver read of the frontier fragments through the storage backend,
+      the watermark WINDOW (wm, wm + items_chunk] of every owned
+      partition pushed into the read                           [S1/O3]
+      (= sort+head(chunk), shuffle-free: per-partition rowids are dense)
     driver, over those scan rows and the retry re-injections     [J3]:
       mod-ownership tag (numpy)                                   [M1]
       ONE seen probe (one RPC per shard)                          [J1]
@@ -23,25 +24,26 @@ and the pass runs no shuffle and no repartition:
         (write-ahead-logged so a mid-pass kill rolls back exactly;
         on a driver thread, overlapped with the fetch)             [T5]
     uniform driver slices of the scheduled rows only
-      → map_batches(fetch: elastic tasks)                    [T1/M2/M3]
-      → materialize
+      → map_batches(fetch: elastic tasks), each task also     [T1/M2/M3]
+          writing its ok rows' documents part into the pass dir,
+          exploding + canonicalizing/hashing/routing its links
+          into one nested ``link_rows`` column, and returning its
+          rows without the document payload
+      → materialize → blocks read zero-copy on the driver
 
-then derived branches over the fetch result:
+then, on the driver — numpy and Arrow, no pandas:
 
-    documents sink (streaming parquet write)
-    filter(ok) → explode links → canonicalize/hash/route   [one fused task
-      per fetch block] → blocks read zero-copy on the driver
-    driver, over the fetched rows (payload columns dropped) plus the
-    unscheduled candidates as not fetched — numpy and Arrow, no pandas:
+    over the fetched rows plus the unscheduled candidates as not fetched:
       per-partition stats (np.unique/bincount) → watermark gating
       token-bucket spend over the tagged candidates
         (politeness.update_buckets)
-    driver, over the link rows and the deferred rows:
+    over the link edges (``link_rows`` flattened) and the deferred rows:
       lineage sink (one file per pass, on a driver thread)
       ONE seen probe per pass (one RPC per shard)            [J1]
+      → exact dedup (min depth per canonical URL)
       → own/foreign split (foreign links post to the owning
         engine's mailbox)
-      → exact dedup + per-partition rowid assignment         [a sort —
+      → per-partition rowid assignment                       [a sort —
         no shuffle, no repartition] → frontier append
     retry table (one Arrow filter), metrics
 
@@ -73,11 +75,11 @@ from ..config import CrawlConfig
 from ..functions.hashing import hash64_many
 from ..schemas import BUCKETS, CHECKPOINTS, LINEAGE, METRICS, RETRY
 from ..sources import synth
-from ..stages.fetch import SimulatedFetchHandler, make_fetch_fn
-from ..stages.links import (assign_rowids, explode_links, make_link_enrich,
-                            to_append_shape)
+from ..stages.fetch import PassOutputs, SimulatedFetchHandler, make_fetch_fn
+from ..stages.links import (assign_rowids, dedup_links, make_link_enrich,
+                            to_append_shape, unpack_link_rows)
 from ..stages.politeness import schedule_table, update_buckets
-from ..stages.scan import make_watermark_filter
+from ..stages.scan import window_expr
 from ..state.seen import SeenSet
 from ..storage import TableStore
 
@@ -473,28 +475,27 @@ def _purge_torn_pass(store: TableStore, cfg: CrawlConfig,
 
 # ------------------------------------------------------------ multi-engine
 def _committed_frontier_files(store: TableStore, cfg: CrawlConfig,
-                              state: CrawlState) -> list[str]:
-    """Multi-engine frontier visibility: the seed fragments (coordinator,
-    committed by the plain init meta) plus THIS engine's own committed
-    appends. Foreign engines never append to the shared frontier — they
-    post link intents to per-engine mailboxes instead — so cross-engine
-    rowid sequences cannot collide."""
+                              pass_id: int) -> list[str]:
+    """Multi-engine frontier visibility for pass *pass_id*: the seed
+    fragments (coordinator, committed by the plain init meta), THIS
+    engine's committed appends and its drained mailbox fragments up to
+    this pass's own drain. Foreign engines never append to the shared
+    frontier — they post link intents to per-engine mailboxes instead —
+    so cross-engine rowid sequences cannot collide."""
     import os as _os
 
     from ..storage import fragment_pass_id
 
-    files = store.fragments("frontier")
-    mine = (f"append-e{cfg.engine_index}_", f"append-e{cfg.engine_index}d_")
+    e = cfg.engine_index
     out = []
-    for f in files:
+    for f in store.fragments("frontier"):
         base = _os.path.basename(f)
         p = fragment_pass_id(base)
         if p is None:
             continue
-        if base.startswith(mine):
-            if p <= state.pass_id:
-                out.append(f)
-        elif base.startswith("append_"):  # coordinator seed fragment
+        if (base.startswith("append_")            # coordinator seed
+                or (base.startswith(f"append-e{e}_") and p < pass_id)
+                or (base.startswith(f"append-e{e}d_") and p <= pass_id)):
             out.append(f)
     return out
 
@@ -595,42 +596,22 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     # ---- scan + retry → one bounded candidate table on the driver --------
     if cfg.num_engines > 1:
         _drain_mailboxes(store, cfg, state, pass_id)
-        frontier_files = _committed_frontier_files(store, cfg, state)
-        # include this pass's own freshly-drained fragment
-        frontier_files += [
-            f for f in store.fragments("frontier")
-            if f"append-e{cfg.engine_index}d_{pass_id:06d}" in f
-        ]
+        frontier_files = _committed_frontier_files(store, cfg, pass_id)
     else:
         frontier_files = store.fragments("frontier",
                                          committed_passes=state.pass_id)
     frontier_files = _prune_consumed_fragments(store, frontier_files,
                                                state.watermarks)
-    owned_parts = [
-        p for p in range(cfg.num_partitions)
-        if p % cfg.num_engines == cfg.engine_index
-        and p not in cfg.skip_partitions
-    ]
-    wm_for_filter = dict(state.watermarks)
-    for p in range(cfg.num_partitions):
-        if p not in owned_parts:
-            wm_for_filter[p] = 1 << 62  # excluded partitions scan nothing
-    min_wm = min((state.watermarks[p] for p in owned_parts), default=-1)
-
     pieces = []
     if frontier_files:
-        # backend-pluggable distributed scan with rowid predicate pushdown;
-        # window filter = sort-by-rowid + head(items_chunk), shuffle-free
-        # (per-partition rowids are dense — see make_watermark_filter)
-        scan = _collect(store.ray_read(
-            frontier_files, filter=pc.field("rowid") > pa.scalar(min_wm),
-        ).map_batches(
-            make_watermark_filter(wm_for_filter, cfg.num_partitions,
-                                  cfg.items_chunk),
-            batch_format="pyarrow",
-        ))
-        if scan is not None:
-            pieces.append(_add_cand_cols(scan, "scan"))
+        # the window (wm, wm + items_chunk] of every owned partition,
+        # pushed into a driver read (stages/scan.py)
+        window = window_expr({
+            p: state.watermarks[p] for p in range(cfg.num_partitions)
+            if p % cfg.num_engines == cfg.engine_index
+            and p not in cfg.skip_partitions}, cfg.items_chunk)
+        pieces.append(_add_cand_cols(
+            store.read_where(frontier_files, window), "scan"))
     retry_tbl = store.read_fragment("retry", _etag(cfg, "retry"),
                                     state.pass_id)
     n_dead = 0
@@ -683,115 +664,53 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             pass_id, tag=_etag(cfg, "marks"))
         state.seen.contains_add(sched_hashes)
 
-    from concurrent.futures import ThreadPoolExecutor as _TPE
-    _mark_pool = _TPE(max_workers=1)
-    mark_fut = _mark_pool.submit(_wal_and_mark)
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=1)
+    mark_fut = pool.submit(_wal_and_mark)
     # Only the scheduled rows are fetched, dispatched as uniform driver
     # slices: a hot host (Zipf head) spreads over many blocks instead of
-    # riding into fetch as one straggler task (SURVEY.md §4.1). Block
-    # count adapts to the row count: fetch task granularity IS block
-    # granularity, and coarse blocks quantize the stage into
-    # straggler-sensitive waves.
+    # riding into fetch as one straggler task (SURVEY.md §4.1). A block is
+    # a task: ≥2 per worker balance the stage without paying Ray's
+    # per-task cost on tiny slices. Each task also writes its documents
+    # part and enriches its links (PassOutputs).
+    docs_dir = store.pass_dir("documents", pass_id, tag=_etag(cfg, "pass"))
     todo = cand.filter(pa.array(sched_m))
     result = None
     if len(todo):
-        n_blocks = min(len(todo), int(np.clip(len(todo) // 400,
+        n_blocks = min(len(todo), int(np.clip(len(todo) // 2000,
                                               cfg.workers * 2, 1024)))
         bounds = np.linspace(0, len(todo), n_blocks + 1).astype(np.int64)
         fetch_in = ray.data.from_arrow(
             [todo.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])])
-        fetch_kwargs = dict(
+        outputs = PassOutputs(store, docs_dir, pass_id, make_link_enrich(
+            cfg.num_partitions, state.salted_hosts))
+        result = fetch_in.map_batches(
+            make_fetch_fn(ray.put(handler), cfg.bulk_process, outputs),
             batch_size=None if cfg.bulk_process else cfg.fetch_batch_size,
             batch_format="pyarrow",
-        )
-        # elastic stateless tasks + per-worker handler cache
-        result = fetch_in.map_batches(
-            make_fetch_fn(ray.put(handler), cfg.bulk_process), **fetch_kwargs
         ).materialize()
     # marks must be durable + applied before anything probes the seen
-    # set (the link branch below); in practice the thread finished long
+    # set (the link probe below); in practice the thread finished long
     # before the fetch did
     mark_fut.result()
-    _mark_pool.shutdown()
     _mark("probe_sched_fetch")
 
-    # ---- three independent consumers of the fetch result run
-    # CONCURRENTLY (separate Dataset executions on driver threads):
-    #   A. documents sink (streaming parquet write)
-    #   B. link explosion — feeds the lineage write and frontier append
-    #   C. slim driver-side collection for all small derivations
-    # Everything except the heavy payload columns (spans/links) comes back
-    # zero-copy; candidates are bounded by P×items_chunk+|retry| (the
-    # reference's micro-batch invariant), so C is a bounded, vectorized
-    # driver step — not a driver loop over the dataset.
-    from concurrent.futures import ThreadPoolExecutor
-
-    def _docs_branch():
-        d = store.pass_dir("documents", pass_id, tag=_etag(cfg, "pass"))
-        if result is None:
-            return
-        docs = result.map_batches(
-            lambda t: t.filter(t.column("ok")), batch_format="pyarrow")
-        doc_cols = docs.map_batches(
-            lambda t: pa.table(
-                {
-                    "doc_id": t.column("doc_id"),
-                    "url": t.column("canonical_url"),
-                    "host": t.column("host"),
-                    "pass_id": pa.array(
-                        np.full(len(t), pass_id, dtype=np.int64)),
-                    "spans": t.column("spans"),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        doc_cols.write_parquet(d)
-
-    def _flat_branch():
-        # explode + canonicalize/hash/route fuse into ONE task per fetch
-        # block, overlapped with the driver's slim processing; the blocks
-        # come back to the driver, where the seen probe runs, so lineage
-        # records every extracted edge
-        if result is None:
-            return None
-        return _collect(
-            result.map_batches(lambda t: t.filter(t.column("ok")),
-                               batch_format="pyarrow")
-            .map_batches(explode_links, batch_format="pyarrow")
-            .map_batches(
-                make_link_enrich(cfg.num_partitions, state.salted_hosts,
-                                 keep_parents=True),
-                batch_format="pyarrow"))
-
-    def _lineage_branch(flat):
-        # one file per pass, written on a driver thread concurrently
-        # with the frontier-append assembly over the same table
-        import pyarrow.parquet as pq
-        lin = pa.table(
-            {
-                "doc_id": flat.column("parent_doc_id"),
-                "parent_url": flat.column("parent_url"),
-                "url": flat.column("url"),
-                "pass_id": pa.array(
-                    np.full(len(flat), pass_id, dtype=np.int64)),
-            },
-            schema=LINEAGE,
-        )
-        d = store.pass_dir("lineage", pass_id, tag=_etag(cfg, "pass"))
-        pq.write_table(lin, f"{d}/part-000000.parquet")
-
-    pool = ThreadPoolExecutor(max_workers=3)
-    docs_fut = pool.submit(_docs_branch)
-    flat_fut = pool.submit(_flat_branch)
-    # fetched rows without the payload columns, then every unscheduled
-    # row (never dispatched) as not fetched
+    # ---- the fetched rows (bounded, like the candidates) come back
+    # zero-copy without the document payload; their nested link rows
+    # become one edge table
+    blocks = [] if result is None else [
+        t for t in ray.get(result.to_arrow_refs()) if len(t)]
+    fetched = flat = None
+    if blocks:
+        fetched = pa.concat_tables(blocks)
+        flat = unpack_link_rows(fetched)
+        fetched = fetched.drop_columns(["link_rows"])
+    # then every unscheduled row (never dispatched) as not fetched
     rest = cand.filter(pa.array(~sched_m))
     rest = (rest.append_column("ok", pa.array(np.zeros(len(rest), bool)))
             .append_column("error", pa.array([""] * len(rest), pa.string()))
             .append_column("doc_id", pa.array([""] * len(rest), pa.string())))
-    fetched = _collect(result) if result is not None else None
-    slim = rest if fetched is None else pa.concat_tables(
-        [fetched.drop_columns(["spans", "links"]), rest])
+    slim = rest if fetched is None else pa.concat_tables([fetched, rest])
     _mark("slim_collect")
     is_scan = pc.equal(slim.column("src"), "scan").to_numpy(
         zero_copy_only=False)
@@ -819,17 +738,17 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     update_buckets(cand, state.robots, state.buckets, cfg.pass_time_ms,
                    cfg.bucket_capacity_factor)
 
-    # ---- join the link branch (docs sink keeps writing concurrently —
-    # it is only joined right before the commit point below) ---------------
+    # ---- links: lineage + ONE seen probe + exact dedup ------------------
     n_fetched = int(ok_a.sum())
-    novel = flat_fut.result()
-    n_links = 0 if novel is None else len(novel)
-    lineage_fut = None
-    if novel is not None:
-        lineage_fut = pool.submit(_lineage_branch, novel)
+    n_links = 0 if flat is None else len(flat)
+    novel = lineage_fut = None
+    if n_links:
+        # one file per pass, written on the driver thread concurrently
+        # with the frontier-append assembly over the same table
+        lineage_fut = pool.submit(_write_lineage, store, cfg, pass_id, flat)
         # ONE seen probe for the whole pass — one RPC per shard (the
         # mark thread was joined above, so this pass's marks are in)
-        novel = novel.drop_columns(["parent_url", "parent_doc_id"])
+        novel = flat.drop_columns(["parent_url", "parent_doc_id"])
         novel = novel.filter(pa.array(~state.seen.contains(
             novel.column("url_hash").to_numpy())))
     _mark("links")
@@ -843,8 +762,10 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         append_pieces.append(
             to_append_shape(slim.filter(pa.array(requeue_m)), 0))
     if novel is not None:
-        # foreign-partition links are POSTED, not appended: only the
-        # owning engine may assign rowids in its partitions
+        # one row per canonical URL, then foreign-partition links are
+        # POSTED, not appended: only the owning engine may assign rowids
+        # in its partitions
+        novel = dedup_links(novel)
         E, me = cfg.num_engines, cfg.engine_index
         owner = novel.column("partition_id").to_numpy() % E
         for tgt in range(E):
@@ -910,9 +831,8 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     }, schema=RETRY)
     _mark("retry")
 
-    # ---- commit (docs + lineage sinks must be durable BEFORE meta
-    # commits) -------------------------------------------------------------
-    docs_fut.result()
+    # ---- commit (the lineage sink must be durable BEFORE meta commits;
+    # the fetch tasks wrote the documents) ---------------------------------
     if lineage_fut is not None:
         lineage_fut.result()
     pool.shutdown()
@@ -967,14 +887,19 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     }
 
 
-def _collect(ds) -> pa.Table | None:
-    """Zero-copy read of a Dataset's blocks on the driver; None when every
-    block is empty. Materializing first (a no-op on a materialized one)
-    gives ``to_arrow_refs`` the schema from block metadata — on a lazy
-    Dataset it re-runs the plan under ``limit(1)`` to learn it."""
-    tbls = [t for t in ray.get(ds.materialize().to_arrow_refs())
-            if t.num_columns and len(t)]
-    return pa.concat_tables(tbls) if tbls else None
+def _write_lineage(store: TableStore, cfg: CrawlConfig, pass_id: int,
+                   flat: pa.Table) -> None:
+    """Every extracted edge of the pass, one file per pass."""
+    store.write_part(pa.table(
+        {
+            "doc_id": flat.column("parent_doc_id"),
+            "parent_url": flat.column("parent_url"),
+            "url": flat.column("url"),
+            "pass_id": pa.array(np.full(len(flat), pass_id, dtype=np.int64)),
+        },
+        schema=LINEAGE,
+    ), store.pass_dir("lineage", pass_id, tag=_etag(cfg, "pass")),
+        "part-000000")
 
 
 def _commit(store: TableStore, cfg: CrawlConfig, state: CrawlState,

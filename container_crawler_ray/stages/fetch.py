@@ -12,25 +12,33 @@ Ray-Data re-expression:
   handler travels as one ``ray.put`` ref per pass; each worker process
   fetches it and calls ``setup(ctx)`` once, then reuses it from a
   per-process cache for the rest of the pass.
-- bulk mode → ``batch_size=None`` (one ``handle_batch`` per block);
-  per-row mode → bounded ``batch_size`` and a per-row loop with PER-ROW
-  error capture into an ``error`` column (exceptions never kill the task,
-  mirroring the reference's error list).
-- output is columnar: ok/error/doc_id/spans/links appended to the input
-  batch. Every row it receives is fetched: ``run_pass`` dispatches only
-  the rows tagged ``scheduled`` and joins the rest back on the driver.
+- bulk mode → ``batch_size=None``: one all-or-nothing ``handle_batch``
+  per block, so bigger fetch blocks are bigger retry units; per-row mode
+  → bounded ``batch_size`` and a per-row loop with PER-ROW error capture
+  into an ``error`` column (exceptions never kill the task, mirroring the
+  reference's error list).
+- ``apply_fetch`` appends ok/error/doc_id/spans/links to the input batch.
+  Every row it receives is fetched: ``run_pass`` dispatches only the rows
+  tagged ``scheduled``. In a pass the task then writes its documents part
+  and nests its enriched links (``PassOutputs``), so the document payload
+  never leaves the task and this map is the pass's one Ray execution.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
-from ..schemas import SPAN_STRUCT
+from ..schemas import DOCUMENTS, SPAN_STRUCT
 from ..sources import synth
+from ..storage import TableStore
+from .links import pack_link_rows
 
 
 class RetryError(Exception):
@@ -136,6 +144,34 @@ def apply_fetch(handler: FetchHandler, bulk: bool, t: pa.Table) -> pa.Table:
     return t
 
 
+@dataclass(frozen=True)
+class PassOutputs:
+    """A pass's fetch task, after the fetch: writes the ok rows'
+    ``documents`` part into *docs_dir*, named by the batch's smallest
+    ``url_hash`` (a pass fetches a URL once), so a retried task overwrites
+    its part; then swaps ``spans``/``links`` for the nested ``link_rows``."""
+
+    store: TableStore
+    docs_dir: str
+    pass_id: int
+    enrich: Callable            # stages.links.make_link_enrich(...)
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        ok = t.filter(t.column("ok"))
+        if len(ok):
+            self.store.write_part(pa.table({
+                "doc_id": ok.column("doc_id"),
+                "url": ok.column("canonical_url"),
+                "host": ok.column("host"),
+                "pass_id": pa.array(np.full(len(ok), self.pass_id,
+                                            dtype=np.int64)),
+                "spans": ok.column("spans"),
+            }, schema=DOCUMENTS), self.docs_dir,
+                f"part-{pc.min(t.column('url_hash')).as_py():016x}")
+        return (t.drop_columns(["spans", "links"])
+                .append_column("link_rows", pack_link_rows(t, self.enrich)))
+
+
 # Stateless elastic tasks with a per-worker-process handler cache: the
 # handler is built and ``setup`` once per worker per pass, and tasks soak
 # up whatever CPUs the other stages leave free, with no pool to size or
@@ -143,7 +179,8 @@ def apply_fetch(handler: FetchHandler, bulk: bool, t: pa.Table) -> pa.Table:
 _HANDLERS: dict = {}
 
 
-def _fetch(handler_ref, bulk: bool, t: pa.Table) -> pa.Table:
+def _fetch(handler_ref, bulk: bool, outputs: PassOutputs,
+           t: pa.Table) -> pa.Table:
     key = handler_ref.hex()
     h = _HANDLERS.get(key)
     if h is None:
@@ -152,10 +189,10 @@ def _fetch(handler_ref, bulk: bool, t: pa.Table) -> pa.Table:
         if len(_HANDLERS) > 8:
             _HANDLERS.clear()
         _HANDLERS[key] = h
-    return apply_fetch(h, bulk, t)
+    return outputs(apply_fetch(h, bulk, t))
 
 
-def make_fetch_fn(handler_ref, bulk: bool):
+def make_fetch_fn(handler_ref, bulk: bool, outputs: PassOutputs):
     # a partial over a module-level function pickles by reference (a
     # closure would carry its own copy of _HANDLERS into every task)
-    return functools.partial(_fetch, handler_ref, bulk)
+    return functools.partial(_fetch, handler_ref, bulk, outputs)

@@ -1,14 +1,15 @@
 """Link expansion + frontier append assembly (graft M-additions, §2.2).
 
 Link extraction is flat_map-shaped: one fetched doc → K candidate URLs.
-Implemented as vectorized ``map_batches`` over the fetch output using
-``pyarrow.compute.list_flatten`` / ``list_parent_indices`` (zero Python in
-the explode), fused with a canonicalize+hash+route stage. The rest runs on
-the driver over the materialized link blocks (``run_pass``): one seen-set
-probe per pass drops known URLs, then ``assign_rowids`` does the exact
-per-pass dedup (min depth per canonical URL, a sort — no shuffle) and the
-deterministic per-partition rowid assignment (the frontier is a set of
-independent rowid sequences — one per partition, exactly like the
+In each fetch task ``pack_link_rows`` explodes the task's links
+(``list_flatten``, zero Python), canonicalizes, hashes and routes them and
+nests them under their parent rows as one ``link_rows`` list<struct>
+column. On the driver (``run_pass``) ``unpack_link_rows`` flattens it into
+one row per edge (``list_parent_indices`` gives the parent's depth, URL
+and doc id), one seen-set probe per pass drops known URLs, ``dedup_links``
+keeps one row per canonical URL (a sort — no shuffle) and
+``assign_rowids`` does the deterministic per-partition rowid assignment
+(one independent rowid sequence per partition, exactly like the
 reference's per-container SQLite DBs).
 """
 
@@ -38,8 +39,7 @@ def explode_links(t: pa.Table) -> pa.Table:
     )
 
 
-def make_link_enrich(num_partitions: int, salted_hosts: tuple[str, ...],
-                     keep_parents: bool = False):
+def make_link_enrich(num_partitions: int, salted_hosts: tuple[str, ...]):
     """Canonicalize (links may come from the wild), hash, route to
     partitions. Hot-host salting (SURVEY.md §4.1): rows of a salted host
     are spread by url_hash instead of host_hash so one hot host doesn't
@@ -72,12 +72,49 @@ def make_link_enrich(num_partitions: int, salted_hosts: tuple[str, ...],
             "priority": pa.array(prio, type=pa.float32()),
             "depth": t.column("depth").cast(pa.int32()),
         }
-        if keep_parents:        # lineage sink reads parent cols downstream
-            cols["parent_url"] = t.column("parent_url")
-            cols["parent_doc_id"] = t.column("parent_doc_id")
         return pa.table(cols)
 
     return enrich
+
+
+def pack_link_rows(t: pa.Table, enrich) -> pa.ListArray:
+    """Fetch output → its links enriched and nested per parent row: one
+    ``list<struct>`` entry per row of *t* (empty for rows that were not
+    fetched), each struct an enriched link without ``depth``, which
+    ``unpack_link_rows`` derives from the parent."""
+    flat = enrich(explode_links(t)).drop_columns(["depth"])
+    n = pc.fill_null(pc.list_value_length(t.column("links")), 0).to_numpy()
+    offsets = np.zeros(len(t) + 1, dtype=np.int32)
+    np.cumsum(n, out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets), pa.StructArray.from_arrays(
+        [c.combine_chunks() for c in flat.columns], names=flat.column_names))
+
+
+def unpack_link_rows(t: pa.Table) -> pa.Table:
+    """Fetched rows with a ``link_rows`` column → one row per (parent,
+    link) edge: the enriched link columns, ``depth`` (the parent's + 1)
+    and the lineage columns ``parent_url`` and ``parent_doc_id``."""
+    nested = t.column("link_rows")
+    parent = pc.list_parent_indices(nested)
+    flat = pa.table(pc.list_flatten(nested).flatten(),
+                    names=[f.name for f in nested.type.value_type])
+    depth = pc.add(pc.take(t.column("depth"), parent), 1).cast(pa.int32())
+    return (flat.append_column("depth", depth)
+            .append_column("parent_url", pc.take(t.column("canonical_url"), parent))
+            .append_column("parent_doc_id", pc.take(t.column("doc_id"), parent)))
+
+
+def dedup_links(t: pa.Table) -> pa.Table:
+    """Exact per-pass link dedup, kept rows in input order: one row per
+    ``canonical_url``, min ``depth``, ties to the smallest raw ``url``,
+    so the kept row does not depend on fetch-block order."""
+    o = pc.sort_indices(t, sort_keys=[("canonical_url", "ascending"),
+                                      ("depth", "ascending"),
+                                      ("url", "ascending")]).to_numpy()
+    cs = t.column("canonical_url").take(o)
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = pc.not_equal(cs[1:], cs[:-1]).to_numpy(zero_copy_only=False)
+    return t.take(np.sort(o[first]))
 
 
 def to_append_shape(t: pa.Table, order_kind: int) -> pa.Table:
@@ -104,33 +141,15 @@ def to_append_shape(t: pa.Table, order_kind: int) -> pa.Table:
 def assign_rowids(t: pa.Table, next_rowid: dict[int, int],
                   pass_id: int) -> pa.Table:
     """Driver-side frontier append assembly over the whole pass (deferred
-    rows + novel links in the append shape of ``to_append_shape``):
+    rows + links already deduplicated by ``dedup_links``, in the append
+    shape of ``to_append_shape``):
 
-    1. exact link dedup — one row per ``canonical_url`` among links
-       (``order_kind == 1``), min ``depth``, ties to the smallest raw
-       ``url``, so the kept row does not depend on block arrival order.
-       Partition routing is a pure function of the canonical URL within a
-       pass, so a global dedup equals a per-partition one;
-    2. deterministic append order per partition: deferred rows by old
+    1. deterministic append order per partition: deferred rows by old
        rowid first, then links by ``canonical_url``;
-    3. dense rowids from each partition's ``next_rowid`` counter, which is
+    2. dense rowids from each partition's ``next_rowid`` counter, which is
        advanced in place.
 
     Returns FRONTIER rows sorted by (partition_id, rowid)."""
-    kind = t.column("order_kind").to_numpy()
-    links_i = np.flatnonzero(kind == 1)
-    if len(links_i):
-        lk = t.select(["canonical_url", "depth", "url"]).take(links_i)
-        o = pc.sort_indices(lk, sort_keys=[("canonical_url", "ascending"),
-                                           ("depth", "ascending"),
-                                           ("url", "ascending")]).to_numpy()
-        cs = lk.column("canonical_url").take(o)
-        first = np.ones(len(o), dtype=bool)
-        first[1:] = pc.not_equal(cs[1:], cs[:-1]).to_numpy(
-            zero_copy_only=False)
-        keep = np.sort(np.concatenate(
-            [np.flatnonzero(kind != 1), links_i[o[first]]]))
-        t = t.take(keep)
     t = t.take(pc.sort_indices(
         t, sort_keys=[("partition_id", "ascending"),
                       ("order_kind", "ascending"),

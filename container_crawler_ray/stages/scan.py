@@ -3,43 +3,50 @@
 Reference semantics [recon: ``container_crawler/__init__.py:≈230–245``]:
 ``broker.get_items_since(last_row, items_chunk)`` — rows with
 ``ROWID > watermark`` in ROWID order, at most ``items_chunk`` per partition
-per pass. Here: one vectorized per-batch filter on the rowid window
-``(watermark, watermark + items_chunk]`` (the per-partition watermark
-vector is tiny and broadcast by closure capture) — no sort, no groupby,
-because per-partition rowids are dense.
+per pass. Here: the rowid window ``(watermark, watermark + items_chunk]``
+of every scanned partition — equivalent to sort-by-rowid + head(chunk),
+with no sort and no groupby, because per-partition rowids are DENSE append
+sequences (0,1,2,…; rows are never deleted; the assigner allocates
+contiguously).
 
-At 100 TB scale the filter is additionally pushed into the parquet read
-(``read_parquet(filter=rowid > min(watermarks))`` prunes whole row groups;
-fragment files are named per pass so fully-consumed fragments prune by
-manifest before any I/O).
+The driver reads it through the storage backend seam
+(``TableStore.read_where``) with ``window_expr`` pushed into the read: row
+groups that cannot match are skipped, and only the bounded
+``P × items_chunk`` window is materialized, whatever the frontier's size.
+``make_watermark_filter`` is the same window as an in-memory numpy filter.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def window_expr(watermarks: dict[int, int], items_chunk: int) -> pc.Expression:
+    """The scan window of the partitions in *watermarks* as one predicate
+    (``wm < rowid <= wm + items_chunk`` per partition); partitions absent
+    from *watermarks* match nothing."""
+    rowid, pid = pc.field("rowid"), pc.field("partition_id")
+    return functools.reduce(operator.or_, (
+        (pid == pa.scalar(p, pa.int32())) & (rowid > w)
+        & (rowid <= w + items_chunk)
+        for p, w in watermarks.items()), pc.scalar(False))
 
 
 def make_watermark_filter(watermarks: dict[int, int], num_partitions: int,
-                          items_chunk: int | None = None):
-    """Vectorized scan filter. With *items_chunk*, also caps the window at
-    ``watermark + items_chunk`` — equivalent to sort-by-rowid + head(chunk)
-    because per-partition rowids are DENSE append sequences (0,1,2,…;
-    rows are never deleted; the assigner allocates contiguously). This
-    turns the chunk scan into a pure filter with NO sort/groupby shuffle.
-    """
+                          items_chunk: int):
+    """The scan window as a vectorized in-memory filter (partitions
+    absent from *watermarks* read from rowid 0)."""
     wm = np.full(num_partitions, -1, dtype=np.int64)
-    for p, w in watermarks.items():
-        wm[p] = w
-    hi = wm + items_chunk if items_chunk is not None else None
+    wm[list(watermarks)] = list(watermarks.values())
 
     def wm_filter(t: pa.Table) -> pa.Table:
-        pid = t.column("partition_id").to_numpy()
+        w = wm[t.column("partition_id").to_numpy()]
         rowid = t.column("rowid").to_numpy()
-        keep = rowid > wm[pid]
-        if hi is not None:
-            keep &= rowid <= hi[pid]
-        return t.filter(pa.array(keep))
+        return t.filter(pa.array((rowid > w) & (rowid <= w + items_chunk)))
 
     return wm_filter
-

@@ -23,9 +23,10 @@ Design:
   bloom filter tier (never loses a key; FP rate degrades gracefully instead
   of insert failure — the right trade for a crawl dedup at 10^10 scale).
 
-All membership probes are numpy-vectorized over uint64 hash arrays; inserts
-loop in Python but only over *novel* keys (pre-filtered by a vectorized
-contains pass), which politeness bounds per pass.
+All membership probes are numpy-vectorized over uint64 hash arrays, and so
+are inserts (``add_many``) of *novel* keys (pre-filtered by a vectorized
+contains pass): only the few keys whose two buckets are both full take the
+per-key eviction walk in Python.
 """
 
 from __future__ import annotations
@@ -81,6 +82,42 @@ class CuckooFilter:
         for sb, sfp in self.stash:
             hit |= (fp == sfp) & ((i1 == sb) | (i2 == sb))
         return hit
+
+    def add_many(self, hashes: np.ndarray) -> None:
+        """Insert pre-hashed keys (no dup check, as ``add``) in vectorized
+        rounds: every key takes a free slot of its i1 bucket, then the
+        rest one of their i2 bucket; keys that hit the same bucket in a
+        round are ranked by input order, the rank-th key taking the
+        rank-th free slot. Only keys both buckets turn away go through
+        ``add``'s eviction walk (and the stash), in input order, so the
+        result is still a pure function of the insert sequence."""
+        if len(hashes) == 0:
+            return
+        fp = _fingerprints(hashes)
+        i1 = self._i1(hashes)
+        pending = np.arange(len(hashes))
+        for idx in (i1, self._i2(i1, fp)):
+            b = idx[pending]
+            order = np.argsort(b, kind="stable")
+            bs = b[order]
+            pos = np.arange(len(bs))
+            new_grp = np.ones(len(bs), dtype=bool)
+            new_grp[1:] = bs[1:] != bs[:-1]
+            rank = pos - np.maximum.accumulate(np.where(new_grp, pos, 0))
+            empty = self.slots[bs] == 0
+            fits = rank < empty.sum(axis=1)
+            # the (rank+1)-th free slot of the bucket
+            slot = np.argmax(empty & (np.cumsum(empty, axis=1)
+                                      == (rank + 1)[:, None]), axis=1)
+            self.slots[bs[fits], slot[fits]] = fp[pending[order[fits]]]
+            self.count += int(fits.sum())
+            placed = np.zeros(len(pending), dtype=bool)
+            placed[order[fits]] = True
+            pending = pending[~placed]
+            if len(pending) == 0:
+                return
+        for h in hashes[pending].tolist():
+            self.add(h)
 
     def add(self, h: int) -> bool:
         """Insert one pre-hashed key; always succeeds (a failed eviction walk
@@ -242,16 +279,13 @@ class SpillFilter:
 
     def add_novel(self, hashes: np.ndarray) -> None:
         """Insert keys ALREADY KNOWN to be novel (caller did contains)."""
-        spill = []
-        # fill-factor guard: spill wholesale once the cuckoo is ~95% full
-        cap = int(self.cuckoo.nbuckets * 4 * 0.95)
-        for h in hashes.tolist():
-            if self.cuckoo.count >= cap:
-                spill.append(h)
-            else:
-                self.cuckoo.add(int(h))
-        if spill:
-            self.bloom.add_many(np.array(spill, dtype=np.uint64))
+        # fill-factor guard: the keys past ~95% cuckoo fill spill wholesale
+        # (every cuckoo insert, stash included, counts one)
+        room = max(0, int(self.cuckoo.nbuckets * 4 * 0.95) - self.cuckoo.count)
+        self.cuckoo.add_many(hashes[:room])
+        spill = hashes[room:]
+        if len(spill):
+            self.bloom.add_many(spill)
             self.spilled += len(spill)
 
     def contains_add_many(self, hashes: np.ndarray) -> np.ndarray:

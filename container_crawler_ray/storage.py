@@ -59,11 +59,12 @@ class ParquetBackend:
     def read(self, path: str) -> pa.Table:
         return pq.read_table(path)
 
-    def ray_read(self, files: list[str], filter=None):
-        """Distributed scan over fragment files with predicate pushdown
-        (row groups that cannot match are skipped at the read)."""
-        import ray.data
-        return ray.data.read_parquet(files, filter=filter)
+    def read_where(self, files: list[str], filter) -> pa.Table:
+        """In-process scan over fragment files with predicate pushdown:
+        row groups whose statistics cannot match are skipped, and only
+        the matching rows are materialized."""
+        import pyarrow.dataset as pads
+        return pads.dataset(files, format="parquet").to_table(filter=filter)
 
 
 class LanceBackend:
@@ -89,15 +90,9 @@ class LanceBackend:
     def read(self, path: str) -> pa.Table:  # pragma: no cover
         return self._lance.dataset(path).to_table()
 
-    def ray_read(self, files: list[str], filter=None):  # pragma: no cover
-        import ray.data
-        parts = [ray.data.read_lance(f) for f in files]
-        ds = parts[0]
-        for p in parts[1:]:
-            ds = ds.union(p)
-        if filter is not None:
-            ds = ds.filter(expr=str(filter))
-        return ds
+    def read_where(self, files: list[str], filter) -> pa.Table:  # pragma: no cover
+        return pa.concat_tables(
+            [self._lance.dataset(f).to_table(filter=filter) for f in files])
 
 
 _BACKENDS: dict[str, type] = {
@@ -108,7 +103,8 @@ _BACKENDS: dict[str, type] = {
 
 def register_backend(name: str, cls: type) -> None:
     """Register a custom storage backend class (must provide ``ext``,
-    ``write(table, path)`` and ``read(path) -> Table``)."""
+    ``write(table, path)`` and ``read(path) -> Table``; a crawl also needs
+    ``read_where(files, filter) -> Table``, its scan)."""
     _BACKENDS[name] = cls
 
 
@@ -140,9 +136,21 @@ class TableStore:
     def _ext(self) -> str:
         return self._backend.ext
 
-    def ray_read(self, files: list[str], filter=None):
-        """Backend-dispatched ``ray.data`` scan over fragment files."""
-        return self._backend.ray_read(files, filter=filter)
+    def read_where(self, files: list[str], filter) -> pa.Table:
+        """Backend-dispatched driver read of the rows of *files* that
+        match the ``pyarrow.compute`` expression *filter* (pushed into
+        the read)."""
+        return self._backend.read_where(files, filter)
+
+    def write_part(self, table: pa.Table, d: str, part: str) -> str:
+        """Write *table* as file *part* of directory *d* (e.g. a
+        ``pass_dir``): tmp + ``os.replace``, so a writer that is retried
+        with the same *part* overwrites its file instead of adding one."""
+        path = os.path.join(d, f"{part}.{self._ext}")
+        tmp = os.path.join(d, f".{part}.{self._ext}.tmp")
+        self._write_file(table, tmp)
+        os.replace(tmp, path)
+        return path
 
     # ------------------------------------------------------------------ paths
     def table_dir(self, name: str) -> str:
@@ -327,8 +335,9 @@ class TableStore:
         return seg
 
     def pass_dir(self, name: str, pass_id: int, tag: str = "pass") -> str:
-        """Directory for a streaming per-pass write (``ds.write_parquet``).
-        Cleared first so a re-run of an uncommitted pass is idempotent."""
+        """Directory for a per-pass table written in parts
+        (``write_part``). Cleared first so a re-run of an uncommitted pass
+        is idempotent."""
         import shutil
 
         d = os.path.join(self.table_dir(name), f"{tag}_{pass_id:06d}")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from container_crawler_ray.functions.hashing import mix64
 from container_crawler_ray.state.cuckoo import (
     BloomFilter, CuckooFilter, SpillFilter)
 
@@ -88,3 +90,60 @@ def test_cuckoo_remove_many_roundtrip():
     removed, residual = s.remove_many(keys)
     assert removed + residual >= len(np.unique(keys)) - 5  # fp slack
     assert residual > 0
+
+
+def test_add_many_places_what_add_places(keys):
+    """The vectorized insert holds the same keys as the per-key one, up
+    to the fill guard, and counts every key once."""
+    a, b = CuckooFilter(2048), CuckooFilter(2048)
+    ins = keys[:int(a.nbuckets * 4 * 0.95)]
+    a.add_many(ins)
+    for k in ins.tolist():
+        b.add(k)
+    assert a.count == b.count == len(ins)
+    assert a.contains_many(ins).all() and b.contains_many(ins).all()
+    assert (a.slots != 0).sum() + len(a.stash) == len(ins)
+
+
+_op = st.one_of(
+    st.tuples(st.just("insert"), st.lists(st.integers(0, 400), max_size=120)),
+    st.tuples(st.just("remove"), st.lists(st.integers(0, 400), max_size=60)),
+    st.tuples(st.just("roundtrip"), st.just([])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_op, min_size=1, max_size=12), st.sampled_from([64, 512]))
+def test_membership_equals_python_set(ops, capacity):
+    """Across inserts, removals and state round trips (the small
+    capacities force the bloom spill) the filter's membership equals a
+    Python set's. A removed key that had spilled stays a member: the
+    bloom tier cannot delete, and ``remove_many`` counts it as residual."""
+    # mix64 spreads the small drawn ints over all 64 bits, so two keys
+    # never share both buckets and a fingerprint
+    def key(xs):
+        return mix64(np.array(list(xs), dtype=np.uint64))
+
+    f = SpillFilter(capacity, 1 << 20)
+    model: set[int] = set()
+    universe = key(range(401))
+    for kind, xs in ops:
+        ks = key(xs)
+        if kind == "insert":
+            first = np.zeros(len(ks), dtype=bool)
+            first[np.unique(ks, return_index=True)[1]] = True
+            want = [bool(fi) and int(k) not in model
+                    for k, fi in zip(ks, first)]
+            assert f.contains_add_many(ks).tolist() == want
+            model.update(int(k) for k in ks)
+        elif kind == "remove":
+            uniq = np.unique(ks)
+            spilled = f.bloom.contains_many(uniq)
+            member = np.array([int(k) in model for k in uniq], dtype=bool)
+            assert f.remove_many(ks) == (int((member & ~spilled).sum()),
+                                         int(spilled.sum()))
+            model.difference_update(int(k) for k in uniq[~spilled])
+        else:
+            f = SpillFilter.from_state(f.to_state())
+        assert f.contains_many(universe).tolist() == [
+            int(k) in model for k in universe]

@@ -601,3 +601,35 @@ def test_stalled_engine_pins_mark_wal_retention(tmp_store, caplog):
         "late resume erased a foreign dup mark (retention window GC'd)"
     assert not bool(got[1]), "engine 0's own torn mark must roll back"
     st0.seen.teardown()
+
+
+def test_mailbox_posts_are_deduplicated(tmp_store):
+    """A pass posts each foreign canonical URL once (min depth, ties to
+    the smallest raw url, the rule its own links follow), so no drained
+    frontier fragment holds a canonical URL twice; the documents still
+    equal a single-engine crawl's."""
+    seeds = make_seed_urls(160, n_hosts=10)
+    rootS = f"{tmp_store}-single"
+    run_crawl(rootS, CrawlConfig(**BASE), seed_urls=seeds, max_passes=30)
+
+    rootM = f"{tmp_store}-multi"
+    cfgs = [CrawlConfig(**BASE, num_engines=2, engine_index=e)
+            for e in (0, 1)]
+    init_run(rootM, cfgs[0], seeds)
+    engines = [(cfg, *resume_run(rootM, cfg)) for cfg in cfgs]
+    idle = 0
+    for _ in range(40):
+        stats = [run_pass(store, cfg, st) for cfg, store, st in engines]
+        idle = idle + 1 if all(s["done"] and s["retry_size"] == 0
+                               for s in stats) else 0
+        if idle >= 2:
+            break
+    drained = glob.glob(f"{rootM}/tables/frontier/append-e*d_*.parquet")
+    assert drained
+    for f in drained:
+        canon = pq.read_table(f, columns=["canonical_url"]).column(
+            "canonical_url").to_pylist()
+        assert len(canon) == len(set(canon)), f
+    assert ({d["doc_id"] for d in _docs(rootM)}
+            == {d["doc_id"] for d in _docs(rootS)})
+    engines[0][2].seen.teardown()

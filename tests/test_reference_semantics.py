@@ -200,6 +200,41 @@ def test_link_path_probes_seen_set_once_per_pass(tmp_store, monkeypatch):
     state.seen.teardown()
 
 
+def test_one_ray_data_execution_per_pass(tmp_store, monkeypatch):
+    """The fetch map is a pass's only Ray Data execution: the scan is a
+    driver read, and each fetch task writes its own documents part and
+    enriches its own links."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    materialized, executed = [], []
+    orig_mat, orig_exec = ray.data.Dataset.materialize, StreamingExecutor.execute
+
+    def materialize(self, *a, **kw):
+        materialized.append(1)
+        return orig_mat(self, *a, **kw)
+
+    def execute(self, *a, **kw):
+        executed.append(1)
+        return orig_exec(self, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    cfg = CrawlConfig(**BASE, fail_mod=0)
+    store, state = init_run(tmp_store, cfg, make_seed_urls(60, n_hosts=20))
+    for _ in range(2):
+        materialized.clear()
+        executed.clear()
+        s = run_pass(store, cfg, state)
+        assert s["fetched"] > 0 and s["new_frontier_rows"] > 0
+        assert (len(materialized), len(executed)) == (1, 1)
+        docs = pq.read_table(f"{tmp_store}/tables/documents/"
+                             f"pass_{s['pass_id']:06d}")
+        assert len(docs) == s["fetched"]
+    state.seen.teardown()
+
+
 def test_unicode_urls_roundtrip(tmp_store):
     """Reference behavior 7 analog: unicode names survive the pipeline."""
     cfg = CrawlConfig(**BASE, fail_mod=0)

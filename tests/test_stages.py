@@ -1,14 +1,16 @@
 """Unit tests for the pass stages that run without a crawl: URL routing,
-driver-side rowid assignment, the politeness schedule and the per-worker
-cache of the mapped fetch function."""
+driver-side rowid assignment, the politeness schedule, the per-worker
+cache of the mapped fetch function and the driver scan window."""
 
 import itertools
 import pickle
+import tempfile
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from ray import cloudpickle
 
 from container_crawler_ray.config import CrawlConfig
@@ -16,12 +18,15 @@ from container_crawler_ray.functions.canonicalize import canonicalize_url
 from container_crawler_ray.pipelines.crawl import (_append_in_list_order,
                                                    build_frontier_rows)
 from container_crawler_ray.stages import fetch
-from container_crawler_ray.stages.links import (assign_rowids,
+from container_crawler_ray.stages.links import (assign_rowids, dedup_links,
                                                 make_link_enrich,
                                                 to_append_shape)
 from container_crawler_ray.stages.politeness import (_allowed,
                                                      make_schedule_fn,
                                                      schedule_table)
+from container_crawler_ray.stages.scan import (make_watermark_filter,
+                                               window_expr)
+from container_crawler_ray.storage import TableStore
 
 from .oracle import _mk_row, init_oracle
 
@@ -60,9 +65,9 @@ def test_assign_rowids_dedup_order_and_dense_rowids():
                      "HTTP://z.example/q"],
                     ["http://a.example/x", "http://a.example/b",
                      "http://z.example/q"], [2, 1, 2])
+    links = dedup_links(pa.concat_tables([block_a, block_b]))
     app = pa.concat_tables([to_append_shape(deferred, 0),
-                            to_append_shape(block_a, 1),
-                            to_append_shape(block_b, 1)])
+                            to_append_shape(links, 1)])
     next_rowid = {0: 10, 1: 3}
     out = assign_rowids(app, next_rowid, pass_id=4).to_pylist()
     got = [(r["partition_id"], r["rowid"], r["url"], r["depth"])
@@ -140,23 +145,37 @@ class _StubRef:
         return "stub-handler"
 
 
-def test_mapped_fns_use_module_cache_after_pickling():
+def test_mapped_fns_use_module_cache_after_pickling(tmp_path):
     """Ray ships a mapped function to each task with cloudpickle; the
     per-worker cache only hits if the unpickled function still reads the
-    module's own dict (a closure would carry a copy of it)."""
-    fetch_fn = pickle.loads(cloudpickle.dumps(
-        fetch.make_fetch_fn(_StubRef(), False)))
+    module's own dict (a closure would carry a copy of it). The task then
+    writes its documents part (once, however often it runs) and returns
+    its links nested per row."""
+    store = TableStore(str(tmp_path))
+    docs_dir = store.pass_dir("documents", 1)
+    fetch_fn = pickle.loads(cloudpickle.dumps(fetch.make_fetch_fn(
+        _StubRef(), False,
+        fetch.PassOutputs(store, docs_dir, 1, make_link_enrich(4, ())))))
     # filled only now: the function can see this entry only through the
     # module's dict (a miss would ray.get the stub ref)
     # (fail_mod=1: every first attempt fails, every retry succeeds)
     fetch._HANDLERS["stub-handler"] = fetch.SimulatedFetchHandler(5, 10, 1)
+    rows = pa.table({
+        "canonical_url": ["http://h0001.example/p/1",
+                          "http://h0001.example/p/2"],
+        "host": ["h0001.example"] * 2,
+        "depth": pa.array([0, 0], type=pa.int32()),
+        "attempts": pa.array([1, 0], type=pa.int32()),
+        "url_hash": pa.array([1, 2], type=pa.uint64())})
     try:
-        out = fetch_fn(pa.table({
-            "canonical_url": ["http://h0001.example/p/1",
-                              "http://h0001.example/p/2"],
-            "attempts": pa.array([1, 0], type=pa.int32()),
-            "url_hash": pa.array([1, 2], type=pa.uint64())}))
+        for _ in range(2):          # a retried task
+            out = fetch_fn(rows)
         assert out.column("ok").to_pylist() == [True, False]
+        assert "spans" not in out.column_names
+        n_links = [len(x) for x in out.column("link_rows").to_pylist()]
+        assert n_links[0] > 0 and n_links[1] == 0
+        docs = pq.read_table(docs_dir)
+        assert docs.column("doc_id").to_pylist() == [f"{1:016x}"]
     finally:
         fetch._HANDLERS.pop("stub-handler", None)
 
@@ -313,3 +332,50 @@ def test_schedule_table_salted_host_ignores_row_order():
     assert want == {(0, 1): "scheduled", (1, 1): "dup",
                     (0, 3): "scheduled", (1, 2): "deferred",
                     (2, 4): "deferred"}
+
+
+# ------------------------------------------------------------------- scan
+_FRAG_TAGS = ["append", "append-e0", "append-e0d"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 40))
+def test_driver_scan_equals_watermark_filter(data, num_partitions, chunk):
+    """The pushed-down driver read of the scan window equals the numpy
+    window filter over the whole frontier, over multi-fragment frontiers
+    with plain, per-engine and drained-mailbox fragments and ``LOxHI``
+    compaction segments; unscanned partitions read nothing."""
+    sizes = data.draw(st.lists(st.integers(0, 30), min_size=num_partitions,
+                               max_size=num_partitions))
+    rows = [(p, r) for p, n in enumerate(sizes) for r in range(n)]
+    assume(rows)
+    frag = data.draw(st.lists(
+        st.tuples(st.sampled_from(_FRAG_TAGS), st.integers(1, 4)),
+        min_size=len(rows), max_size=len(rows)))
+    wms = {p: data.draw(st.integers(-1, n + 2)) for p, n in enumerate(sizes)}
+    scanned = {p: w for p, w in wms.items() if data.draw(st.booleans())}
+    compact_upto = data.draw(st.sampled_from([None, 2, 4]))
+
+    def table(sub):
+        return pa.table({
+            "rowid": pa.array([r for _, r in sub], pa.int64()),
+            "partition_id": pa.array([p for p, _ in sub], pa.int32()),
+            "url": [f"http://h{p}.example/{r}" for p, r in sub]})
+
+    with tempfile.TemporaryDirectory() as root:
+        store = TableStore(root)
+        for key in sorted(set(frag)):
+            sub = [row for row, k in zip(rows, frag) if k == key]
+            store.append_fragment("frontier", table(sub), key[1], tag=key[0])
+        if compact_upto is not None:
+            store.compact("frontier", tag="append", upto_pass=compact_upto)
+        got = store.read_where(store.fragments("frontier"),
+                               window_expr(scanned, chunk))
+    window = {p: scanned.get(p, 1 << 62) for p in range(num_partitions)}
+    want = make_watermark_filter(window, num_partitions, chunk)(table(rows))
+
+    def key(t):
+        return sorted(zip(t.column("partition_id").to_pylist(),
+                          t.column("rowid").to_pylist(),
+                          t.column("url").to_pylist()))
+    assert key(got) == key(want)

@@ -3,6 +3,7 @@
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from container_crawler_ray.storage import TableStore
@@ -91,9 +92,6 @@ def test_backend_seam_custom_backend(tmp_path):
         def read(self, path):
             with ipc.open_file(path) as r:
                 return r.read_all()
-
-        def ray_read(self, files, filter=None):  # pragma: no cover
-            raise NotImplementedError
 
     register_backend("ipc-test", IpcBackend)
     store = TableStore(str(tmp_path / "b"), backend=resolve_backend("ipc-test"))
@@ -214,8 +212,9 @@ def test_lance_parquet_parity(tmp_path, lance_store):
             == sorted(b.column("x").to_pylist())
 
 
-def test_lance_ray_read(lance_store, ray_session):
-    for p in (1, 2):
+def test_lance_read_where(lance_store):
+    for p in (1, 2, 3):
         lance_store.append_fragment("fr", _t([p]), p)
-    ds = lance_store.ray_read(lance_store.fragments("fr"))
-    assert sorted(r["x"] for r in ds.take_all()) == [1, 2]
+    t = lance_store.read_where(lance_store.fragments("fr"),
+                               pc.field("x") >= 2)
+    assert sorted(t.column("x").to_pylist()) == [2, 3]

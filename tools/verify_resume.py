@@ -19,6 +19,9 @@ import subprocess
 import sys
 
 ROOT = "/tmp/verify_resume"
+# the checkout this script lives in: its crawl subprocesses import this
+# checkout's package, wherever it is
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRIVER = """
 import ray
 ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -40,7 +43,7 @@ ray.shutdown()
 
 def run(root: str, passes: int, resume: bool = False) -> None:
     code = DRIVER.format(root=root, passes=passes, resume=resume)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO)
     r = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, timeout=560)
     if r.returncode != 0:
