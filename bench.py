@@ -406,7 +406,7 @@ def crawl_headline(ncpu: int, reps: int = REPS) -> dict:
     cfg = CrawlConfig(
         num_partitions=32, items_chunk=20_000, workers=ncpu, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
-        parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
+        parse_cost_bytes=8 << 20, fail_mod=97,
     )
     seeds = make_seed_urls(SEEDS, n_hosts=cfg.n_hosts)
     # warm the worker pool + page cache (untimed)
@@ -452,7 +452,7 @@ def pressure(seeds_n: int, ncpu: int, max_passes: int = 40) -> None:
     cfg = CrawlConfig(
         num_partitions=32, items_chunk=20_000, workers=ncpu, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
-        parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
+        parse_cost_bytes=8 << 20, fail_mod=97,
     )
     t0 = time.monotonic()
     seeds = make_seed_urls(seeds_n, n_hosts=cfg.n_hosts)
@@ -576,7 +576,6 @@ def salt_drain(seeds_n: int, ncpu: int, max_passes: int = 160) -> None:
         num_partitions=32, items_chunk=20_000, workers=ncpu,
         seen_shards=8, n_hosts=200, n_paths=3000,
         pass_time_ms=3_600_000, parse_cost_bytes=8 << 20, fail_mod=97,
-        fetch_batch_size=256,
     )
     hot = "h0000.example"
     seeds = make_seed_urls(seeds_n, n_hosts=base["n_hosts"])
@@ -742,7 +741,7 @@ def multi_engine(seeds_n: int, ncpu: int, n_engines: int = 2,
     base = dict(
         num_partitions=32, items_chunk=20_000, seen_shards=8,
         n_hosts=200, n_paths=3000, pass_time_ms=3_600_000,
-        parse_cost_bytes=8 << 20, fail_mod=97, fetch_batch_size=256,
+        parse_cost_bytes=8 << 20, fail_mod=97,
     )
     if salted:
         # skew-aware repartitioning of the known Zipf head, applied to

@@ -36,7 +36,6 @@ class CrawlConfig:
     bloom_bits: int = 1 << 22        # per-shard bloom spill tier size (bits)
     pass_time_ms: int = 1000         # virtual wall-time per pass for token buckets
     bucket_capacity_factor: float = 2.0
-    fetch_batch_size: int = 512      # rows per fetch __call__ in per-row mode
     fetch_mode: str = "tasks"        # the only fetch mode; kept for old configs
     max_passes: int = 100            # driver-loop bound
     fail_mod: int = 97               # synthetic transient-failure injector (0 = off)

@@ -686,7 +686,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
             cfg.num_partitions, state.salted_hosts))
         result = fetch_in.map_batches(
             make_fetch_fn(ray.put(handler), cfg.bulk_process, outputs),
-            batch_size=None if cfg.bulk_process else cfg.fetch_batch_size,
+            batch_size=None,
             batch_format="pyarrow",
         ).materialize()
     # marks must be durable + applied before anything probes the seen
@@ -929,13 +929,10 @@ def enumerate_partitions(store: TableStore,
     ``container_crawler/__init__.py:≈120–150``]): list the partition ids
     present in the frontier, from fragment metadata/files — the driver-side
     fan-out source when partitions are not known a priori."""
-    import pyarrow.parquet as pq
-
-    parts: set[int] = set()
-    for f in store.fragments("frontier", committed_passes):
-        t = pq.read_table(f, columns=["partition_id"])
-        parts.update(np.unique(t.column("partition_id").to_numpy()).tolist())
-    return sorted(parts)
+    t = store.read_all("frontier", committed_passes)
+    if t is None:
+        return []
+    return np.unique(t.column("partition_id").to_numpy()).tolist()
 
 
 # --------------------------------------------------------------------- loop

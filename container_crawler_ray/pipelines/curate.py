@@ -6,6 +6,8 @@ already-tested operators; this module is the end-to-end composition a
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -16,6 +18,8 @@ from ray.data.aggregate import Sum
 from ..functions.hashing import int_keys_md5_u64
 from ..functions.text import text_stats_batch
 from .exchange import bucket_map, read
+from .kernels import (
+    sampled_tokens, source_token_counts, tag_kept_docs, token_hash_counts)
 
 
 def curate_docs(sf_dir: str, min_tokens: int = 10,
@@ -74,15 +78,6 @@ def curate_pack(sf_dir: str, budget: int = 2048,
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "n_chars"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        ks = ray.get(keep_ref)
-        ids = t.column("doc_id").to_numpy().astype(np.int64)
-        pos = np.clip(np.searchsorted(ks, ids), 0, max(0, len(ks) - 1))
-        m = (len(ks) > 0) & (ks[pos] == ids)
-        t = t.filter(pa.array(m))
-        block = t.column("doc_id").to_numpy() // part_size
-        return t.append_column("block", pa.array(block.astype(np.int64)))
-
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
         g = g.sort_values("doc_id", kind="mergesort")
@@ -102,7 +97,10 @@ def curate_pack(sf_dir: str, budget: int = 2048,
                              "seq_id": base + seq, "seq_off": off,
                              "n_chars": n})
 
-    out = (ds.map_batches(tag, batch_format="pyarrow")
+    out = (ds.map_batches(functools.partial(tag_kept_docs,
+                                            keep_ref=keep_ref,
+                                            part_size=part_size),
+                          batch_format="pyarrow")
            .groupby("block").map_groups(pack, batch_format="pandas")
            .to_pandas())
     return out.astype({"seq_id": "int64", "seq_off": "int64",
@@ -135,15 +133,6 @@ def write_curated(sf_dir: str, out_dir: str, budget: int = 2048,
     keep_ref = ray.put(keep)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text", "n_chars"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        ks = ray.get(keep_ref)
-        ids = t.column("doc_id").to_numpy().astype(np.int64)
-        pos = np.clip(np.searchsorted(ks, ids), 0, max(0, len(ks) - 1))
-        m = (len(ks) > 0) & (ks[pos] == ids)
-        t = t.filter(pa.array(m))
-        block = t.column("doc_id").to_numpy() // part_size
-        return t.append_column("block", pa.array(block.astype(np.int64)))
 
     def pack_and_write(g: pd.DataFrame) -> pd.DataFrame:
         block = int(g["block"].iloc[0])
@@ -178,7 +167,10 @@ def write_curated(sf_dir: str, out_dir: str, budget: int = 2048,
                              "n_seqs": [int(seq[-1]) + 1], "path": [path],
                              "skipped": [False]})
 
-    manifest = (ds.map_batches(tag, batch_format="pyarrow")
+    manifest = (ds.map_batches(functools.partial(tag_kept_docs,
+                                                 keep_ref=keep_ref,
+                                                 part_size=part_size),
+                               batch_format="pyarrow")
                 .groupby("block").map_groups(pack_and_write,
                                              batch_format="pandas")
                 .to_pandas())
@@ -759,34 +751,8 @@ def source_hapax_ratio(sf_dir: str) -> pd.DataFrame:
     are md5-hashed before the ONE (source, hash)-routed exchange
     (strings never shuffle); per-bucket partials are one row per
     source."""
-    from ..functions.hashing import hash64_many
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
-
-    def derive(t: pa.Table) -> pa.Table:
-        src = np.asarray(t.column("source")).astype(object)
-        # RE2-vectorized tokenization: split on whitespace runs, drop
-        # edge empties (same token stream as str.split())
-        parts_ = pc.split_pattern_regex(t.column("text"), r"\s+") \
-            .combine_chunks()
-        counts = np.asarray(parts_.value_lengths(), dtype=np.int64)
-        flat = parts_.flatten()
-        keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-        toks = np.asarray(flat).astype(object)[keep]
-        srcs = np.repeat(src, counts)[keep]
-        h = hash64_many(toks).astype(np.int64)
-        code, uniq = pd.factorize(srcs)
-        # pre-count within block to shrink the exchange
-        df = pd.DataFrame({"c": code.astype(np.int64), "h": h})
-        cnt = df.groupby(["c", "h"], as_index=False).size()
-        return pa.table({
-            "source": pa.array(
-                np.asarray(uniq, dtype=object)
-                [cnt["c"].to_numpy(np.int64)].astype(str),
-                type=pa.string()),
-            "h": pa.array(cnt["h"].to_numpy(np.int64)),
-            "n": pa.array(cnt["size"].to_numpy(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         # two-key C-level groupby (packing source×hash into one int64
@@ -798,7 +764,8 @@ def source_hapax_ratio(sf_dir: str) -> pd.DataFrame:
             .groupby("source")["one"].sum().to_numpy(np.int64)
         return out
 
-    parts = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    parts = bucket_map(ds.map_batches(source_token_counts,
+                                      batch_format="pyarrow"),
                        "h", fold)
     agg = (parts.groupby("source", as_index=False).sum()
            .sort_values("source", kind="mergesort")
@@ -1071,22 +1038,8 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
     sums at the checkpoints. Coverage at K is invariant to tie order
     (tied frequencies contribute equally), so no tie-break is
     needed on either side."""
-    from ..functions.hashing import hash64_many
-
     ds = read(sf_dir, "documents", columns=["text"],
               rows_per_block=2048)
-
-    def derive(t: pa.Table) -> pa.Table:
-        toks = []
-        for s in t.column("text").to_pylist():
-            toks.extend(s.split())
-        if not toks:
-            return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
-        u, c = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1099,7 +1052,7 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
-    f = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    f = (bucket_map(ds.map_batches(token_hash_counts, batch_format="pyarrow"),
                     "h", fold)["f"].to_numpy(np.int64))
     f = np.sort(f)[::-1]
     cum = np.cumsum(f)
@@ -1127,22 +1080,8 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
     exponents, no float-boundary risk); slope and r² are exact
     integer Cramer ratios in Python bigints, sign-normalized to
     milli/bps units."""
-    from ..functions.hashing import hash64_many
-
     ds = read(sf_dir, "documents", columns=["text"],
               rows_per_block=2048)
-
-    def derive(t: pa.Table) -> pa.Table:
-        toks = []
-        for s in t.column("text").to_pylist():
-            toks.extend(s.split())
-        if not toks:
-            return pa.table({"h": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
-        u, c = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         h = g["h"].to_numpy(np.int64)
@@ -1156,7 +1095,7 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
-    f = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    f = (bucket_map(ds.map_batches(token_hash_counts, batch_format="pyarrow"),
                     "h", fold)["f"].to_numpy(np.int64))
     f = np.sort(f)[::-1]
     v = len(f)
@@ -1331,14 +1270,8 @@ def cms_width_sweep(sf_dir: str) -> pd.DataFrame:
     ds = read(sf_dir, "documents", columns=["doc_id", "text"],
               rows_per_block=2048)
 
-    def probe_toks(t: pa.Table) -> pa.Table:
-        keep = (t.column("doc_id").to_numpy() % 199) == 0
-        texts = np.asarray(t.column("text"), dtype=object)[keep]
-        toks = sorted({w for s in texts for w in s.split()})
-        return pa.table({"tok": pa.array(toks, type=pa.string())})
-
     probes = sorted(set(
-        ds.map_batches(probe_toks, batch_format="pyarrow")
+        ds.map_batches(sampled_tokens, batch_format="pyarrow")
         .to_pandas()["tok"]))
     probe_ref = ray.put(probes)
 
@@ -1427,31 +1360,8 @@ def vocab_richness_chao1(sf_dir: str) -> pd.DataFrame:
     per-bucket partials are one row per source, and every estimator
     term (V, F1, F2, N) is an exact integer the SQL twin reproduces
     verbatim."""
-    from ..functions.hashing import hash64_many
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
-
-    def derive(t: pa.Table) -> pa.Table:
-        src = np.asarray(t.column("source")).astype(object)
-        parts_ = pc.split_pattern_regex(t.column("text"), r"\s+") \
-            .combine_chunks()
-        counts = np.asarray(parts_.value_lengths(), dtype=np.int64)
-        flat = parts_.flatten()
-        keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-        toks = np.asarray(flat).astype(object)[keep]
-        srcs = np.repeat(src, counts)[keep]
-        h = hash64_many(toks).astype(np.int64)
-        code, uniq = pd.factorize(srcs)
-        df = pd.DataFrame({"c": code.astype(np.int64), "h": h})
-        cnt = df.groupby(["c", "h"], as_index=False).size()
-        return pa.table({
-            "source": pa.array(
-                np.asarray(uniq, dtype=object)
-                [cnt["c"].to_numpy(np.int64)].astype(str),
-                type=pa.string()),
-            "h": pa.array(cnt["h"].to_numpy(np.int64)),
-            "n": pa.array(cnt["size"].to_numpy(np.int64))})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby(["source", "h"], as_index=False)["n"].sum()
@@ -1465,7 +1375,8 @@ def vocab_richness_chao1(sf_dir: str) -> pd.DataFrame:
         out["f2"] = grp["f2"].to_numpy(np.int64)
         return out
 
-    agg = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    agg = (bucket_map(ds.map_batches(source_token_counts,
+                                     batch_format="pyarrow"),
                       "h", fold)
            .groupby("source", as_index=False).sum()
            .sort_values("source", kind="mergesort")

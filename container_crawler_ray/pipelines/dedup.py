@@ -16,6 +16,8 @@ text itself.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -24,6 +26,9 @@ from ray.data.aggregate import Count, Sum
 
 from ..functions.hashing import mix64
 from .exchange import bucket_groups, bucket_map, read
+from .kernels import (
+    bucket_pair_counts, lead_pair_derive, mixed_key, shingle_explode,
+    unique_ids)
 
 NUM_PERM = 64
 BANDS = 16
@@ -447,15 +452,12 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
                  t.column("b").to_numpy().astype(np.int64)]))
             return pa.table({"node": pa.array(u)})
 
-        def endpoint_fold(g: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"node": np.unique(g["node"].to_numpy(np.int64))})
-
         # candidate ids: one row per colliding doc — output-contract
         # bounded (never more rows than the result frame itself)
         cand_ids = np.sort(bucket_map(
             deduped.map_batches(endpoint_partial, batch_format="pyarrow"),
-            "node", endpoint_fold)["node"].to_numpy(np.int64))
+            "node", functools.partial(unique_ids, col="node"))
+            ["node"].to_numpy(np.int64))
 
     def label_join_back(lbl_nodes: np.ndarray,
                         lbl_vals: np.ndarray) -> pd.DataFrame:
@@ -535,9 +537,6 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
     # --- distributed exact-Jaccard verification -------------------------
     cand_ref = ray.put(cand_ids)
 
-    def shingle_mix(t: pa.Table) -> np.ndarray:
-        return mix64(t.column("shingle_hash").to_numpy().astype(np.uint64))
-
     # materialize ONCE: the shingle rows feed the per-doc size aggregate
     # and every verification chunk — without this the explode would
     # re-execute per consumer
@@ -585,7 +584,9 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
 
         # per-bucket partial (a, b, inter_part) rows are bounded by the
         # chunk pair set × bucket count — the sum is a vectorized reduce
-        inter = bucket_map(shingles, shingle_mix, bucket_inter, n=256)
+        inter = bucket_map(shingles,
+                           functools.partial(mixed_key, col="shingle_hash"),
+                           bucket_inter, n=256)
         if not len(inter):
             return inter.reindex(columns=["a", "b"])
         inter = (inter.groupby(["a", "b"], as_index=False)["inter_part"]
@@ -696,32 +697,8 @@ def ngram_top_pairs(sf_dir: str, k: int = 3, topn: int = 20) -> pd.DataFrame:
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
 
-    def explode(t: pa.Table) -> pa.Table:
-        ids, shingles, nsh = [], [], []
-        for doc_id, text in zip(t.column("doc_id").to_pylist(),
-                                t.column("text").to_pylist()):
-            toks = text.split()
-            ss = {" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)}
-            ids.extend([doc_id] * len(ss))
-            shingles.extend(sorted(ss))
-            nsh.extend([len(ss)] * len(ss))
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "shingle": pa.array(shingles, type=pa.string()),
-                         "n_sh": pa.array(nsh, type=pa.int64())})
-
-    sh = docs.map_batches(explode, batch_format="pyarrow")
-
-    def bucket_pair_counts(g: pd.DataFrame) -> pa.Table:
-        m = g[["shingle", "doc_id", "n_sh"]].merge(
-            g[["shingle", "doc_id", "n_sh"]], on="shingle")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = (m.groupby(["doc_id_x", "doc_id_y"], as_index=False)
-               .agg(inter_part=("shingle", "size"),
-                    na=("n_sh_x", "first"), nb=("n_sh_y", "first")))
-        out = out.rename(columns={"doc_id_x": "a", "doc_id_y": "b"})
-        # Arrow output: pandas blocks straight into the next groupby put
-        # that exchange on Ray's pandas sort path (measured ~20× slower)
-        return pa.Table.from_pandas(out, preserve_index=False)
+    sh = docs.map_batches(functools.partial(shingle_explode, k=k),
+                          batch_format="pyarrow")
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # every occurrence of a pair lands in THIS bucket, so the reduce
@@ -912,11 +889,9 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         # collapse in the final (tiny) result set
         return df.drop_duplicates(["a", "b"])
 
-    def band_mix(t: pa.Table) -> np.ndarray:
-        return mix64(t.column("bandkey").to_numpy().astype(np.uint64))
-
     pairs = bucket_map(sims.map_batches(explode, batch_format="pyarrow"),
-                       band_mix, bucket_pairs, n=128)
+                       functools.partial(mixed_key, col="bandkey"),
+                       bucket_pairs, n=128)
     pairs = pairs.drop_duplicates(["a", "b"]).sort_values(["a", "b"])
     return pairs.reset_index(drop=True).astype(
         {"a": "int64", "b": "int64", "hamming": "int64"})
@@ -1336,32 +1311,8 @@ def ngram_containment_pairs(sf_dir: str, k: int = 3,
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
 
-    def explode(t: pa.Table) -> pa.Table:
-        ids, shingles, nsh = [], [], []
-        for doc_id, text in zip(t.column("doc_id").to_pylist(),
-                                t.column("text").to_pylist()):
-            toks = text.split()
-            ss = {" ".join(toks[i:i + k])
-                  for i in range(len(toks) - k + 1)}
-            ids.extend([doc_id] * len(ss))
-            shingles.extend(sorted(ss))
-            nsh.extend([len(ss)] * len(ss))
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "shingle": pa.array(shingles,
-                                             type=pa.string()),
-                         "n_sh": pa.array(nsh, type=pa.int64())})
-
-    sh = docs.map_batches(explode, batch_format="pyarrow")
-
-    def bucket_pair_counts(g: pd.DataFrame) -> pa.Table:
-        m = g[["shingle", "doc_id", "n_sh"]].merge(
-            g[["shingle", "doc_id", "n_sh"]], on="shingle")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = (m.groupby(["doc_id_x", "doc_id_y"], as_index=False)
-               .agg(inter_part=("shingle", "size"),
-                    na=("n_sh_x", "first"), nb=("n_sh_y", "first")))
-        out = out.rename(columns={"doc_id_x": "a", "doc_id_y": "b"})
-        return pa.Table.from_pandas(out, preserve_index=False)
+    sh = docs.map_batches(functools.partial(shingle_explode, k=k),
+                          batch_format="pyarrow")
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["a", "b"], as_index=False)
@@ -1388,55 +1339,6 @@ def ngram_containment_pairs(sf_dir: str, k: int = 3,
     return pc_.reset_index(drop=True).astype(
         {"a": "int64", "b": "int64", "inter": "int64",
          "min_n": "int64", "containment_bp": "int64"})
-
-
-def _lead_pair_derive(t: pa.Table, elo: np.ndarray) -> pa.Table:
-    """Shared LEAD-rule pair-legs derive: for every eligible doc
-    (doc_id % 5 == 0) emit, per pair membership, the distinct token
-    hashes (exact-Jaccard leg, kind=0) and the 64 seeded MinHash
-    signature values (estimate leg, kind=1). Used by
-    ``minhash_error_audit`` and ``dedup_threshold_pr``."""
-    from ..functions.hashing import hash64_many
-
-    did = t.column("doc_id").to_numpy()
-    texts = t.column("text").to_pylist()
-    pair, kind, kk, side, val = [], [], [], [], []
-    for i, s in enumerate(texts):
-        d = int(did[i])
-        if d % 5 != 0:
-            continue
-        j = int(np.searchsorted(elo, d))
-        members = []
-        if j < len(elo) - 1:
-            members.append((j, 0))
-        if j >= 1:
-            members.append((j - 1, 1))
-        if not members:
-            continue
-        toks = np.unique(np.array(s.split(), dtype=object))
-        if not len(toks):
-            continue
-        h = hash64_many(toks).astype(np.int64)
-        sig = np.empty(64, np.int64)
-        tl = list(toks)
-        for k in range(64):
-            suf = f"#{k}"
-            sig[k] = int(hash64_many(
-                [w + suf for w in tl]).min().astype(np.int64))
-        for pj, sd in members:
-            pair.extend([pj] * (len(h) + 64))
-            kind.extend([0] * len(h) + [1] * 64)
-            kk.extend([-1] * len(h))
-            kk.extend(range(64))
-            side.extend([sd] * (len(h) + 64))
-            val.extend(h.tolist())
-            val.extend(sig.tolist())
-    return pa.table({
-        "pair": pa.array(pair, type=pa.int64()),
-        "kind": pa.array(kind, type=pa.int8()),
-        "k": pa.array(kk, type=pa.int32()),
-        "side": pa.array(side, type=pa.int8()),
-        "val": pa.array(val, type=pa.int64())})
 
 
 def _lead_pair_miu(g: pd.DataFrame):
@@ -1499,16 +1401,15 @@ def minhash_error_audit(sf_dir: str) -> pd.DataFrame:
     ds = read(sf_dir, "documents", columns=["doc_id", "text"],
               rows_per_block=512)
 
-    def derive(t: pa.Table) -> pa.Table:
-        return _lead_pair_derive(t, ray.get(el_ref))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         pu, m, i_, u = _lead_pair_miu(g)
         est = 10_000 * m // 64
         exv = 10_000 * i_ // u
         return pd.DataFrame({"pid": pu, "est": est, "ex": exv})
 
-    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    per = bucket_map(ds.map_batches(functools.partial(lead_pair_derive,
+                                                      el_ref=el_ref),
+                                    batch_format="pyarrow"),
                      "pair", fold)
     est = per["est"].to_numpy(np.int64)
     exv = per["ex"].to_numpy(np.int64)
@@ -1544,9 +1445,6 @@ def dedup_threshold_pr(sf_dir: str) -> pd.DataFrame:
     ds = read(sf_dir, "documents", columns=["doc_id", "text"],
               rows_per_block=512)
 
-    def derive(t: pa.Table) -> pa.Table:
-        return _lead_pair_derive(t, ray.get(el_ref))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         _, m, i_, u = _lead_pair_miu(g)
         rows = []
@@ -1561,7 +1459,9 @@ def dedup_threshold_pr(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=[
             "tau10", "tp", "fp", "fn", "tn"]).astype("int64")
 
-    per = (bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    per = (bucket_map(ds.map_batches(functools.partial(lead_pair_derive,
+                                                       el_ref=el_ref),
+                                     batch_format="pyarrow"),
                       "pair", fold)
            .groupby("tau10", as_index=False).sum()
            .sort_values("tau10").reset_index(drop=True))
@@ -1599,15 +1499,14 @@ def fold_leakage_audit(sf_dir: str) -> pd.DataFrame:
     ds = read(sf_dir, "documents", columns=["doc_id", "text"],
               rows_per_block=512)
 
-    def derive(t: pa.Table) -> pa.Table:
-        return _lead_pair_derive(t, ray.get(el_ref))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         pu, _, i_, u = _lead_pair_miu(g)
         dup = 2 * i_ >= u
         return pd.DataFrame({"pid": pu[dup]})
 
-    per = bucket_map(ds.map_batches(derive, batch_format="pyarrow"),
+    per = bucket_map(ds.map_batches(functools.partial(lead_pair_derive,
+                                                      el_ref=el_ref),
+                                    batch_format="pyarrow"),
                      "pair", fold)
     pid = per["pid"].to_numpy(np.int64)
     fa, fb = folds[pid], folds[pid + 1]

@@ -24,39 +24,8 @@ import ray
 import ray.data
 
 from .exchange import bucket_groups, bucket_map, read
-
-
-def _build_edges(sf_dir: str):
-    """Directed weighted edges (src_part → dst_part): consecutive
-    lineitems (by l_linenumber) within the same order contribute one
-    unit of weight. One bucketed exchange (``orderkey % 64``); each
-    bucket derives its orders' consecutive pairs with vectorized
-    shifts and pre-aggregates (src, dst) weights."""
-    items = read(sf_dir, "lineitem",
-                 columns=["l_orderkey", "l_linenumber", "l_partkey"])
-
-    def mk_edges(g: pd.DataFrame) -> pd.DataFrame:
-        # l_partkey tiebreak: (orderkey, linenumber) is NOT unique in
-        # the data, and without a total order the consecutive-pair set
-        # would depend on Ray block arrival order (nondeterministic)
-        g = g.sort_values(["l_orderkey", "l_linenumber", "l_partkey"],
-                          kind="mergesort")
-        ok = g["l_orderkey"].to_numpy(np.int64)
-        pk = g["l_partkey"].to_numpy(np.int64)
-        same = ok[1:] == ok[:-1]
-        e = pd.DataFrame({"src": pk[:-1][same], "dst": pk[1:][same]})
-        return (e.groupby(["src", "dst"], as_index=False)
-                .size().rename(columns={"size": "w"}))
-
-    def merge_edges(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.groupby(["src", "dst"], as_index=False)["w"].sum())
-
-    # second bucketed reduce: the SAME (src, dst) pair appears in many
-    # order-buckets; contributions use floor division, so weights must
-    # be globally aggregated BEFORE the iteration or the per-fragment
-    # floors lose 1 ppm each (measured vs the golden).
-    return bucket_groups(bucket_groups(items, "l_orderkey", mk_edges),
-                         "src", merge_edges).materialize()
+from .kernels import (
+    adjacency, _build_edges, pack_edges, undirect, undirected_edges)
 
 
 def pagerank_parts(sf_dir: str, iters: int = 10,
@@ -144,21 +113,7 @@ def triangle_count_parts(sf_dir: str) -> pd.DataFrame:
     map-side. Exchanges move only integer id pairs. The degree table
     is part-dimension-sized and broadcast via ``ray.put``; at web
     scale it would join distributed on the same bucket key instead."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        "a", distinct_ab).materialize()
+    und = undirected_edges(sf_dir).materialize()
 
     # degree over the distinct undirected edge set — dense bincount
     # partials (fixed catalog-sized vectors, no shuffle), same fold as
@@ -481,41 +436,15 @@ def part_link_prediction(sf_dir: str, topn: int = 100) -> pd.DataFrame:
     bucket ships only its local top-N under the full output order.
     Wedge blow-up is Σ C(deg, 2) — a hub cap/salt would bound it on a
     power-law graph. SQL twin: adjacency self-join + anti-join."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        "a", distinct_ab).materialize()
+    und = undirected_edges(sf_dir).materialize()
 
     # broadcast the packed edge set for the non-edge filter
-    def pack_edges(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        return pa.table({"pk": pa.array(a * (1 << 21) + b)})
-
     epk = np.sort(np.concatenate(
         [b.column("pk").to_numpy() for b in
          und.map_batches(pack_edges, batch_format="pyarrow")
          .iter_batches(batch_format="pyarrow", batch_size=None)]
         or [np.array([], dtype=np.int64)]))
     eref = ray.put(epk)
-
-    def adjacency(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedge_counts(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -581,26 +510,7 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
     instead). Edges with zero common neighbors score 0 and are
     excluded on both sides (the wedge join never produces them).
     SQL twin: adjacency self-join + degree join."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        "a", distinct_ab).materialize()
-
-    def pack_edges(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        return pa.table({"pk": pa.array(a * (1 << 21) + b)})
+    und = undirected_edges(sf_dir).materialize()
 
     epk = np.sort(np.concatenate(
         [blk.column("pk").to_numpy() for blk in
@@ -611,13 +521,6 @@ def part_neighbor_jaccard(sf_dir: str, topn: int = 100) -> pd.DataFrame:
     deg = np.bincount(nodes) if len(nodes) else np.zeros(1, np.int64)
     eref = ray.put(epk)
     dref = ray.put(deg.astype(np.int64))
-
-    def adjacency(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedge_counts(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -710,26 +613,7 @@ def part_clustering_coeff(sf_dir: str) -> pd.DataFrame:
     scale the zero-closed tail would be emitted from a co-partitioned
     degree table instead). SQL twin: wedge join + edge join + degree
     anti-fill."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        "a", distinct_ab).materialize()
-
-    def pack_edges(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        return pa.table({"pk": pa.array(a * (1 << 21) + b)})
+    und = undirected_edges(sf_dir).materialize()
 
     epk = np.sort(np.concatenate(
         [blk.column("pk").to_numpy() for blk in
@@ -740,13 +624,6 @@ def part_clustering_coeff(sf_dir: str) -> pd.DataFrame:
     deg = (np.bincount(nodes).astype(np.int64) if len(nodes)
            else np.zeros(1, np.int64))
     eref = ray.put(epk)
-
-    def adjacency(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.int64)
-        b = t.column("b").to_numpy().astype(np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def closed_per_center(g: pd.DataFrame) -> pa.Table:
         u = g["u"].to_numpy(np.int64)
@@ -811,21 +688,7 @@ def part_assortativity(sf_dir: str) -> pd.DataFrame:
     with the SAME operation order as the SQL twin (the
     ``lineitem_corr`` IEEE-matching discipline). r_milli =
     floor(1000·r)."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        "a", distinct_ab).materialize()
+    und = undirected_edges(sf_dir).materialize()
     ab = und.to_pandas()
     a = ab["a"].to_numpy(np.int64)
     b = ab["b"].to_numpy(np.int64)
@@ -920,21 +783,7 @@ def part_graph_modularity(sf_dir: str) -> pd.DataFrame:
     (:func:`_build_edges`, one orderkey exchange) + the undirect/
     distinct exchange; brands are a broadcast part-dimension lookup.
     The per-brand fold is community-cardinality-sized (25 brands)."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
-                     "a", distinct_ab)
+    und = undirected_edges(sf_dir).to_pandas()
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     m = len(a)
@@ -977,21 +826,7 @@ def part_degree_ccdf(sf_dir: str) -> pd.DataFrame:
     a cliff = bounded degrees. Degrees come from the same
     undirect/distinct exchange as the clustering ops; the band fold
     is ~12 rows. Pure integers, zero float."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
-                     "a", distinct_ab)
+    und = undirected_edges(sf_dir).to_pandas()
     nodes = np.concatenate([und["a"].to_numpy(np.int64),
                             und["b"].to_numpy(np.int64)])
     deg = np.bincount(nodes).astype(np.int64)
@@ -1020,21 +855,7 @@ def part_walk_centrality(sf_dir: str) -> pd.DataFrame:
     exchange. Top 20 under the (score desc, partkey asc) total
     order. Pure integers; the two-hop influence ranking a frontier
     scheduler uses to pre-warm hot neighborhoods."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
-                     "a", distinct_ab)
+    und = undirected_edges(sf_dir).to_pandas()
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     deg = np.bincount(np.concatenate([a, b])).astype(np.int64)
@@ -1062,21 +883,7 @@ def brand_edge_affinity(sf_dir: str) -> pd.DataFrame:
     brand_a, brand_b) order. Edges from the shared distributed
     builder + undirect/distinct exchange; brands via the broadcast
     part LUT; the pair fold is 25x25. Pure integers."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    def distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
-
-    und = bucket_map(edges.map_batches(undirect, batch_format="pyarrow"),
-                     "a", distinct_ab)
+    und = undirected_edges(sf_dir).to_pandas()
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     m = len(a)

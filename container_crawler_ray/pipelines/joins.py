@@ -13,6 +13,8 @@ host_hash).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -21,6 +23,8 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from .exchange import BUCKETS, bucket_groups, bucket_map, read
+from .kernels import (
+    day_bounds, nation_flow_join, tag_lineitem, tag_order_cust)
 
 
 def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
@@ -3148,22 +3152,6 @@ def user_part_negatives(sf_dir: str, k: int = 4,
     items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
     orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    def tag_items(t: pa.Table) -> pa.Table:
-        key = t.column("l_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("l_partkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8))})
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = t.column("o_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("o_custkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
-
     def join_pos(g: pd.DataFrame) -> pa.Table:
         # Arrow out: this stage feeds the second shuffle (pandas blocks
         # would put the exchange on Ray's ~20x slower sort path)
@@ -3211,8 +3199,9 @@ def user_part_negatives(sf_dir: str, k: int = 4,
             .astype(np.int64)})
 
     pos = bucket_groups(
-        [orders.map_batches(tag_orders, batch_format="pyarrow"),
-         items.map_batches(tag_items, batch_format="pyarrow")],
+        [orders.map_batches(tag_order_cust, batch_format="pyarrow"),
+         items.map_batches(functools.partial(tag_lineitem, aux="l_partkey"),
+                           batch_format="pyarrow")],
         "key", join_pos)
     neg = bucket_map(pos, "cust", sample_neg)
     return (neg.groupby("neg_rank", as_index=False).sum()
@@ -3513,43 +3502,12 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
                  columns=["l_orderkey", "l_suppkey"])
     orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    def tag_items(t: pa.Table) -> pa.Table:
-        key = t.column("l_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("l_suppkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8))})
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = t.column("o_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("o_custkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
-
-    def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
-        s_nat_, c_nat_ = ray.get(ref)
-        left = g[g["side"] == 0][["key", "aux"]] \
-            .rename(columns={"aux": "custkey"})
-        right = g[g["side"] == 1][["key", "aux"]] \
-            .rename(columns={"aux": "suppkey"})
-        m = right.merge(left, on="key")
-        if not len(m):
-            return pd.DataFrame({"sn": pd.Series([], dtype=np.int64),
-                                 "cn": pd.Series([], dtype=np.int64),
-                                 "o": pd.Series([], dtype=np.int64)})
-        out = pd.DataFrame({
-            "sn": s_nat_[m["suppkey"].to_numpy(np.int64)],
-            "cn": c_nat_[m["custkey"].to_numpy(np.int64)]})
-        return out.groupby(["sn", "cn"], as_index=False).size() \
-            .rename(columns={"size": "o"})
-
     obs = (bucket_map(
-        [orders.map_batches(tag_orders, batch_format="pyarrow"),
-         items.map_batches(tag_items, batch_format="pyarrow")],
-        "key", bucket_join).groupby(["sn", "cn"], as_index=False)["o"]
+        [orders.map_batches(tag_order_cust, batch_format="pyarrow"),
+         items.map_batches(functools.partial(tag_lineitem, aux="l_suppkey"),
+                           batch_format="pyarrow")],
+        "key", functools.partial(nation_flow_join, ref=ref))
+           .groupby(["sn", "cn"], as_index=False)["o"]
            .sum())
     rtot = obs.groupby("sn")["o"].sum().to_dict()
     ctot = obs.groupby("cn")["o"].sum().to_dict()
@@ -3711,43 +3669,12 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
                  columns=["l_orderkey", "l_suppkey"])
     orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    def tag_items(t: pa.Table) -> pa.Table:
-        key = t.column("l_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("l_suppkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8))})
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = t.column("o_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("o_custkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
-
-    def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
-        s_nat_, c_nat_ = ray.get(ref)
-        left = g[g["side"] == 0][["key", "aux"]] \
-            .rename(columns={"aux": "custkey"})
-        right = g[g["side"] == 1][["key", "aux"]] \
-            .rename(columns={"aux": "suppkey"})
-        m = right.merge(left, on="key")
-        if not len(m):
-            return pd.DataFrame({"sn": pd.Series([], dtype=np.int64),
-                                 "cn": pd.Series([], dtype=np.int64),
-                                 "o": pd.Series([], dtype=np.int64)})
-        out = pd.DataFrame({
-            "sn": s_nat_[m["suppkey"].to_numpy(np.int64)],
-            "cn": c_nat_[m["custkey"].to_numpy(np.int64)]})
-        return out.groupby(["sn", "cn"], as_index=False).size() \
-            .rename(columns={"size": "o"})
-
     obs = (bucket_map(
-        [orders.map_batches(tag_orders, batch_format="pyarrow"),
-         items.map_batches(tag_items, batch_format="pyarrow")],
-        "key", bucket_join).groupby(["sn", "cn"], as_index=False)["o"]
+        [orders.map_batches(tag_order_cust, batch_format="pyarrow"),
+         items.map_batches(functools.partial(tag_lineitem, aux="l_suppkey"),
+                           batch_format="pyarrow")],
+        "key", functools.partial(nation_flow_join, ref=ref))
+           .groupby(["sn", "cn"], as_index=False)["o"]
            .sum())
     rtot = {int(k): int(v)
             for k, v in obs.groupby("sn")["o"].sum().items()}
@@ -3992,22 +3919,6 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
                  columns=["l_orderkey", "l_partkey"])
     orders = read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    def tag_items(t: pa.Table) -> pa.Table:
-        key = t.column("l_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("l_partkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8))})
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = t.column("o_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(key),
-            "aux": pa.array(t.column("o_custkey").to_numpy()
-                            .astype(np.int64)),
-            "side": pa.array(np.zeros(len(key), dtype=np.int8))})
-
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
         p_br_ = ray.get(ref)
         left = g[g["side"] == 0][["key", "aux"]] \
@@ -4024,8 +3935,9 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"cb": u, "c": cnt.astype(np.int64)})
 
     cells = (bucket_map(
-        [orders.map_batches(tag_orders, batch_format="pyarrow"),
-         items.map_batches(tag_items, batch_format="pyarrow")],
+        [orders.map_batches(tag_order_cust, batch_format="pyarrow"),
+         items.map_batches(functools.partial(tag_lineitem, aux="l_partkey"),
+                           batch_format="pyarrow")],
         "key", bucket_join).groupby("cb", as_index=False)["c"].sum())
     c = cells["c"].to_numpy(np.int64)
     ck = cells["cb"].to_numpy(np.int64) // 32
@@ -4140,13 +4052,8 @@ def region_share_shift(sf_dir: str) -> pd.DataFrame:
     ds = read(sf_dir, "orders",
               columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
-    def span(t: pa.Table) -> pa.Table:
-        d = t.column("o_orderdate").cast(pa.int64()).to_numpy() \
-            // 86_400_000_000
-        return pa.table({"lo": pa.array([np.int64(d.min())]),
-                         "hi": pa.array([np.int64(d.max())])})
-
-    sp = ds.map_batches(span, batch_format="pyarrow").to_pandas()
+    sp = ds.map_batches(functools.partial(day_bounds, col="o_orderdate"),
+                        batch_format="pyarrow").to_pandas()
     mid = (int(sp["lo"].min()) + int(sp["hi"].max())) // 2
 
     def partial(t: pa.Table) -> pa.Table:

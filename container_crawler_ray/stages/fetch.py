@@ -12,11 +12,13 @@ Ray-Data re-expression:
   handler travels as one ``ray.put`` ref per pass; each worker process
   fetches it and calls ``setup(ctx)`` once, then reuses it from a
   per-process cache for the rest of the pass.
-- bulk mode → ``batch_size=None``: one all-or-nothing ``handle_batch``
-  per block, so bigger fetch blocks are bigger retry units; per-row mode
-  → bounded ``batch_size`` and a per-row loop with PER-ROW error capture
-  into an ``error`` column (exceptions never kill the task, mirroring the
-  reference's error list).
+- ``batch_size=None`` in both modes: each driver slice of the scheduled
+  rows is one block, one task and one ``documents`` part, so the slice
+  count ``run_pass`` picks (≥ 2 per worker) is the task count. Bulk mode
+  makes one all-or-nothing ``handle_batch`` per block, so bigger fetch
+  blocks are bigger retry units; per-row mode loops over the block with
+  PER-ROW error capture into an ``error`` column (exceptions never kill
+  the task, mirroring the reference's error list).
 - ``apply_fetch`` appends ok/error/doc_id/spans/links to the input batch.
   Every row it receives is fetched: ``run_pass`` dispatches only the rows
   tagged ``scheduled``. In a pass the task then writes its documents part

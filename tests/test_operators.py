@@ -885,3 +885,90 @@ def test_no_hand_rolled_bucket_exchange_outside_exchange_module():
             if any(re.search(p, line) for p in banned):
                 hits.append(f"{os.path.basename(path)}:{i}: {line.strip()}")
     assert not hits, "\n".join(hits)
+
+
+# ------------------------------------------------ the shared kernel module
+def test_no_duplicated_nested_kernels():
+    """Every catalog kernel has one home: no two nested ``def``s in
+    ``pipelines/*.py`` have the same arguments and body (a repeated
+    kernel belongs in ``pipelines/kernels.py``)."""
+    import ast
+    import glob
+
+    from container_crawler_ray import pipelines
+    seen: dict = {}
+    dups = []
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(pipelines.__file__), "*.py"))):
+        tree = ast.parse(open(path).read())
+        nested = [n for top in ast.walk(tree)
+                  if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for n in ast.walk(top)
+                  if n is not top
+                  and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for fn in set(nested):
+            key = ast.dump(fn.args) + "".join(ast.dump(s) for s in fn.body)
+            site = f"{os.path.basename(path)}:{fn.lineno} {fn.name}"
+            if key in seen:
+                dups.append(f"{site} repeats {seen[key]}")
+            else:
+                seen[key] = site
+    assert not dups, "\n".join(sorted(dups))
+
+
+def test_kernels_module_imports_no_catalog_module():
+    """A worker imports ``pipelines.kernels`` to run a hoisted kernel, so
+    the module must stay a leaf: importing it loads no catalog module."""
+    import subprocess
+
+    code = ("import sys, container_crawler_ray.pipelines.kernels; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith('container_crawler_ray.pipelines.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=os.path.dirname(os.path.dirname(__file__)))
+    loaded = set(out.stdout.split())
+    assert loaded == {"container_crawler_ray.pipelines.kernels",
+                      "container_crawler_ray.pipelines.exchange"}, loaded
+
+
+_ORDERS = st.lists(
+    st.tuples(st.integers(0, 6),                       # day offset
+              st.integers(0, 86_400_000_000 - 1),      # time of day (us)
+              st.floats(0, 1e6, allow_nan=False)),     # o_totalprice
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=_ORDERS, n_blocks=st.integers(1, 3))
+@example(rows=[(0, 5, 1.005)], n_blocks=1)
+@example(rows=[(3, 0, 0.07), (3, 86_399_999_999, 2.5), (3, 7, 19.99)],
+         n_blocks=3)
+def test_orders_daily_cents_equals_pandas(rows, n_blocks):
+    """``orders_daily_cents`` over an orders table split into 1–3
+    blocks (single-day tables, one day's rows in different blocks)
+    equals a pandas per-day sum of ``floor(o_totalprice * 100)``."""
+    from unittest import mock
+
+    import ray.data
+
+    from container_crawler_ray.pipelines import kernels
+
+    base = 10_000 * 86_400_000_000
+    ts = np.array([base + d * 86_400_000_000 + us for d, us, _ in rows],
+                  dtype=np.int64)
+    price = np.array([p for *_, p in rows], dtype=np.float64)
+    t = pa.table({"o_orderdate": pa.array(ts.astype("datetime64[us]")),
+                  "o_totalprice": pa.array(price)})
+    cuts = np.linspace(0, len(t), n_blocks + 1).astype(int)
+    blocks = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    with mock.patch.object(kernels, "read",
+                           lambda *a, **kw: ray.data.from_arrow(blocks)):
+        days, cents = kernels.orders_daily_cents("unused")
+
+    ref = (pd.DataFrame({"day": ts // 86_400_000_000,
+                         "cents": np.floor(price * 100).astype(np.int64)})
+           .groupby("day")["cents"].sum())
+    assert days.dtype == cents.dtype == np.int64
+    np.testing.assert_array_equal(days, ref.index.to_numpy(np.int64))
+    np.testing.assert_array_equal(cents, ref.to_numpy(np.int64))

@@ -235,6 +235,22 @@ def test_one_ray_data_execution_per_pass(tmp_store, monkeypatch):
     state.seen.teardown()
 
 
+def test_fetch_runs_one_task_per_driver_slice(tmp_store):
+    """Per-row mode fetches each driver slice of the scheduled rows in its
+    own task: a pass of fewer than 2000 scheduled rows is cut into
+    2·workers slices, and each slice writes one documents part (Ray Data
+    bundling slices up to a fetch batch size would write fewer)."""
+    cfg = CrawlConfig(**BASE, fail_mod=0)
+    assert not cfg.bulk_process
+    store, state = init_run(tmp_store, cfg, make_seed_urls(60, n_hosts=20))
+    s = run_pass(store, cfg, state)
+    assert 2 * cfg.workers <= s["fetched"] < 2000
+    parts = glob.glob(f"{tmp_store}/tables/documents/"
+                      f"pass_{s['pass_id']:06d}/*.parquet")
+    assert len(parts) == 2 * cfg.workers
+    state.seen.teardown()
+
+
 def test_unicode_urls_roundtrip(tmp_store):
     """Reference behavior 7 analog: unicode names survive the pipeline."""
     cfg = CrawlConfig(**BASE, fail_mod=0)

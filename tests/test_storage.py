@@ -4,9 +4,15 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.ipc as ipc
 import pytest
 
-from container_crawler_ray.storage import TableStore
+from container_crawler_ray.config import CrawlConfig
+from container_crawler_ray.pipelines.crawl import (enumerate_partitions,
+                                                   init_run)
+from container_crawler_ray.sources.synth import make_seed_urls
+from container_crawler_ray.storage import (TableStore, register_backend,
+                                           resolve_backend)
 
 
 @pytest.fixture
@@ -16,6 +22,20 @@ def store(tmp_path):
 
 def _t(vals):
     return pa.table({"x": pa.array(vals, type=pa.int64())})
+
+
+class IpcBackend:
+    """A non-parquet backend: one arrow IPC file per fragment."""
+
+    ext = "arrows"
+
+    def write(self, table, path):
+        with ipc.new_file(path, table.schema) as w:
+            w.write_table(table)
+
+    def read(self, path):
+        with ipc.open_file(path) as r:
+            return r.read_all()
 
 
 def test_atomic_current(store):
@@ -78,21 +98,6 @@ def test_backend_seam_custom_backend(tmp_path):
     """The storage backend is pluggable: a custom backend drives every
     fragment read/write through its own format (here: arrow IPC files),
     proving the Lance swap is a config change, not a rewrite."""
-    import pyarrow.ipc as ipc
-
-    from container_crawler_ray.storage import register_backend, resolve_backend
-
-    class IpcBackend:
-        ext = "arrows"
-
-        def write(self, table, path):
-            with ipc.new_file(path, table.schema) as w:
-                w.write_table(table)
-
-        def read(self, path):
-            with ipc.open_file(path) as r:
-                return r.read_all()
-
     register_backend("ipc-test", IpcBackend)
     store = TableStore(str(tmp_path / "b"), backend=resolve_backend("ipc-test"))
     store.write_current("t", _t([1, 2]))
@@ -100,6 +105,24 @@ def test_backend_seam_custom_backend(tmp_path):
     store.append_fragment("t", _t([3]), 1)
     assert store.read_fragment("t", "append", 1).column("x").to_pylist() == [3]
     assert all(f.endswith(".arrows") for f in store.fragments("t"))
+
+
+def test_enumerate_partitions_reads_through_backend(tmp_path, monkeypatch):
+    """The partition enumerator reads the frontier through the store's
+    backend, so it works on a frontier written in a non-parquet format."""
+    register_backend("ipc-test", IpcBackend)
+    monkeypatch.setenv("GRAFT_STORAGE_BACKEND", "ipc-test")
+    cfg = CrawlConfig(num_partitions=4, seen_shards=2, n_hosts=20)
+    store, state = init_run(str(tmp_path / "run"), cfg,
+                            make_seed_urls(60, n_hosts=20))
+    try:
+        assert all(f.endswith(".arrows") for f in store.fragments("frontier"))
+        want = sorted(set(store.read_all("frontier")
+                          .column("partition_id").to_pylist()))
+        assert len(want) > 1
+        assert enumerate_partitions(store) == want
+    finally:
+        state.seen.teardown()
 
 
 def test_backend_env_var_switch(tmp_path, monkeypatch):
