@@ -34,6 +34,7 @@ import ray.data
 
 from ..functions.vectors import list_col_to_matrix, normalize_rows
 from .exchange import bucket_map
+from .kernels import dense_lookup
 
 
 def _load_queries(sf_dir: str, n_queries: int):
@@ -670,8 +671,7 @@ def embedding_knn_loo_accuracy(sf_dir: str, stride: int = 4) \
                         columns=["vec_id", "embedding", "label"])
     vids = tbl.column("vec_id").to_numpy().astype(np.int64)
     labels = tbl.column("label").to_numpy().astype(np.int64)
-    lab = np.zeros(vids.max() + 1, dtype=np.int64)
-    lab[vids] = labels
+    lab = dense_lookup(vids, labels)
     mat = list_col_to_matrix(tbl.column("embedding"))
     sel = vids % stride == 0
     qref = ray.put((vids[sel], normalize_rows(mat[sel])))
@@ -749,8 +749,7 @@ def embedding_knn_confusion(sf_dir: str, stride: int = 4) \
                         columns=["vec_id", "embedding", "label"])
     vids = tbl.column("vec_id").to_numpy().astype(np.int64)
     labels = tbl.column("label").to_numpy().astype(np.int64)
-    lab = np.zeros(vids.max() + 1, dtype=np.int64)
-    lab[vids] = labels
+    lab = dense_lookup(vids, labels)
     mat = list_col_to_matrix(tbl.column("embedding"))
     sel = vids % stride == 0
     qref = ray.put((vids[sel], normalize_rows(mat[sel])))

@@ -19,7 +19,8 @@ from ..functions.hashing import int_keys_md5_u64
 from ..functions.text import text_stats_batch
 from .exchange import bucket_map, read
 from .kernels import (
-    sampled_tokens, source_token_counts, tag_kept_docs, token_hash_counts)
+    pack_docs, run_starts, sampled_tokens, source_token_counts, tag_kept_docs,
+    token_hash_counts)
 
 
 def curate_docs(sf_dir: str, min_tokens: int = 10,
@@ -78,30 +79,13 @@ def curate_pack(sf_dir: str, budget: int = 2048,
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "n_chars"])
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-        g = g.sort_values("doc_id", kind="mergesort")
-        n = g["n_chars"].to_numpy()
-        seq = np.empty(len(n), dtype=np.int64)
-        off = np.empty(len(n), dtype=np.int64)
-        cur_seq, cur_off = 0, 0
-        for i, ln in enumerate(n):      # bounded by part_size
-            if cur_off > 0 and cur_off + ln > budget:
-                cur_seq += 1
-                cur_off = 0
-            seq[i] = cur_seq
-            off[i] = cur_off
-            cur_off += ln
-        base = int(g["block"].iloc[0]) << 20
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
-                             "seq_id": base + seq, "seq_off": off,
-                             "n_chars": n})
-
     out = (ds.map_batches(functools.partial(tag_kept_docs,
                                             keep_ref=keep_ref,
                                             part_size=part_size),
                           batch_format="pyarrow")
-           .groupby("block").map_groups(pack, batch_format="pandas")
+           .groupby("block").map_groups(
+               functools.partial(pack_docs, budget=budget),
+               batch_format="pandas")
            .to_pandas())
     return out.astype({"seq_id": "int64", "seq_off": "int64",
                        "n_chars": "int64"})
@@ -253,8 +237,6 @@ def docs_split_assign(sf_dir: str, train_pct: int = 90,
     import numpy as np
     import ray
 
-    from ..functions.hashing import hash64_many
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang", "n_chars"])
 
@@ -293,8 +275,6 @@ def docs_mixture_sample(sf_dir: str, budget_chars: int = 4000) -> pd.DataFrame:
     Output per source: docs/chars kept vs available."""
     import numpy as np
     import ray
-
-    from ..functions.hashing import hash64_many
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", "n_chars"])
@@ -497,8 +477,6 @@ def docs_kfold_assign(sf_dir: str, k: int = 5) -> pd.DataFrame:
     rank); output is the (lang × fold) audit: counts + id/char
     checksums, which pin every assignment because the rank order is a
     pure function of the ids."""
-    from ..functions.hashing import hash64_many
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang", "n_chars"])
 
@@ -867,9 +845,7 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
         h = hash64_many(np.array(toks, dtype=object)).astype(np.int64)
         order = np.lexsort((doc_of, h))
         h, doc_of = h[order], doc_of[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         return pa.table({
             "h": pa.array(h[brk]), "mn": pa.array(doc_of[brk])})
 
@@ -878,9 +854,7 @@ def vocab_growth_curve(sf_dir: str) -> pd.DataFrame:
         mn = g["mn"].to_numpy(np.int64)
         order = np.lexsort((mn, h))
         h, mn = h[order], mn[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         first_bin = np.searchsorted(thr, mn[brk], side="left")
         return pd.DataFrame({
             "ck": np.arange(1, 11, dtype=np.int64),
@@ -977,9 +951,7 @@ def boilerplate_overlap_matrix(sf_dir: str,
                                       np.int64)
         order = np.argsort(h, kind="mergesort")
         h, bit = h[order], bit[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         starts = np.flatnonzero(brk)
         m = np.bitwise_or.reduceat(bit, starts)
         hu = h[brk]
@@ -991,9 +963,7 @@ def boilerplate_overlap_matrix(sf_dir: str,
         m = g["m"].to_numpy(np.int64)
         order = np.argsort(h, kind="mergesort")
         h, m = h[order], m[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         gm = np.bitwise_or.reduceat(m, np.flatnonzero(brk))
         um, cnt = np.unique(gm, return_counts=True)
         return pd.DataFrame({"mask": um.astype(np.int64),
@@ -1046,9 +1016,7 @@ def token_coverage_curve(sf_dir: str) -> pd.DataFrame:
         n = g["n"].to_numpy(np.int64)
         order = np.argsort(h, kind="mergesort")
         h, n = h[order], n[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
@@ -1088,10 +1056,7 @@ def zipf_slope_audit(sf_dir: str) -> pd.DataFrame:
         n = g["n"].to_numpy(np.int64)
         order = np.argsort(h, kind="mergesort")
         n = n[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        hs = h[order]
-        brk[1:] = hs[1:] != hs[:-1]
+        brk = run_starts(h[order])
         f = np.add.reduceat(n, np.flatnonzero(brk))
         return pd.DataFrame({"f": f.astype(np.int64)})
 
@@ -1129,8 +1094,6 @@ def kfold_balance_audit(sf_dir: str, k: int = 5) -> pd.DataFrame:
     (n·rt·ct)) and the worst-balanced source. Observed cells fold as
     map-side bincounts over (fold, source) — a k×n_sources grid at
     any scale, NO exchange beyond the tiny grouped sum."""
-    from ..functions.hashing import hash64_many
-
     ds = read(sf_dir, "documents", columns=["doc_id", "source"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1228,9 +1191,7 @@ def token_burstiness(sf_dir: str) -> pd.DataFrame:
         df = g["df"].to_numpy(np.int64)
         order = np.argsort(h, kind="mergesort")
         h, cf, df = h[order], cf[order], df[order]
-        brk = np.empty(len(h), bool)
-        brk[0] = True
-        brk[1:] = h[1:] != h[:-1]
+        brk = run_starts(h)
         starts = np.flatnonzero(brk)
         hu = h[brk]
         cfu = np.add.reduceat(cf, starts)

@@ -22,13 +22,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count
 
 from ..functions.hashing import mix64
 from .exchange import bucket_groups, bucket_map, read
 from .kernels import (
-    bucket_pair_counts, lead_pair_derive, mixed_key, shingle_explode,
-    unique_ids)
+    bucket_pair_counts, lead_pair_derive, mixed_key, run_starts,
+    shingle_explode, unique_ids)
 
 NUM_PERM = 64
 BANDS = 16
@@ -392,8 +392,7 @@ def minhash_lsh_groups(sf_dir: str, k: int = 3, jaccard_tau: float = 0.5,
         g = g.sort_values(["band", "band_hash", "doc_id"])
         bh = g["band_hash"].to_numpy()
         bd = g["band"].to_numpy()
-        new_run = np.ones(len(g), dtype=bool)
-        new_run[1:] = (bh[1:] != bh[:-1]) | (bd[1:] != bd[:-1])
+        new_run = run_starts(bh, bd)
         run_id = np.cumsum(new_run) - 1
         sizes = np.bincount(run_id)
         ids = g["doc_id"].to_numpy().astype(np.int64)
@@ -1276,9 +1275,7 @@ def docs_trigram_novelty(sf_dir: str) -> pd.DataFrame:
         did = g["doc_id"].to_numpy(np.int64)
         order = np.lexsort((did, gh))
         ghs, dids = gh[order], did[order]
-        first = np.empty(len(ghs), dtype=bool)
-        first[0] = True
-        first[1:] = ghs[1:] != ghs[:-1]
+        first = run_starts(ghs)
         owner = dids[np.maximum.accumulate(
             np.where(first, np.arange(len(ghs)), 0))]
         novel = (dids == owner)
@@ -1351,9 +1348,7 @@ def _lead_pair_miu(g: pd.DataFrame):
     v0 = ex["val"].to_numpy(np.int64)
     order = np.lexsort((v0, p0))
     p0, v0 = p0[order], v0[order]
-    brk = np.empty(len(p0), bool)
-    brk[0] = True
-    brk[1:] = (p0[1:] != p0[:-1]) | (v0[1:] != v0[:-1])
+    brk = run_starts(p0, v0)
     starts = np.flatnonzero(brk)
     runs = np.diff(np.append(starts, len(p0)))
     rp = p0[starts]
@@ -1389,8 +1384,6 @@ def minhash_error_audit(sf_dir: str) -> pd.DataFrame:
     driver averages |pairs| integer rows. Eligible-id list is
     dimension-sized (at 100 TB the pairing rule becomes the same
     block-local LEAD used by ``embedding_triplet_audit``)."""
-    from ..functions.hashing import hash64, hash64_many
-
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
         .to_pandas()["doc_id"].to_numpy(np.int64))
@@ -1486,8 +1479,6 @@ def fold_leakage_audit(sf_dir: str) -> pd.DataFrame:
     recomputed per pair from the broadcast eligible-id list, so the
     audit adds NO extra shuffle. Reports same-fold vs cross-fold dup
     counts, total pairs, and the leakage share of dups in bps."""
-    from ..functions.hashing import hash64, hash64_many
-
     ids = np.sort(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"])
         .to_pandas()["doc_id"].to_numpy(np.int64))

@@ -24,8 +24,7 @@ import ray
 import ray.data
 
 from .exchange import bucket_groups, bucket_map, read
-from .kernels import (
-    adjacency, _build_edges, pack_edges, undirect, undirected_edges)
+from .kernels import _build_edges, adjacency, pack_edges, undirected_edges
 
 
 def pagerank_parts(sf_dir: str, iters: int = 10,
@@ -343,33 +342,7 @@ def part_kcore(sf_dir: str, k: int = 30) -> pd.DataFrame:
     catalog the mask becomes a keyed table co-partitioned with edges).
     Edges are re-filtered lazily; rounds = peeling depth (typically
     ≤ tens). Golden-oracled against a single-process peel."""
-    edges = _build_edges(sf_dir)
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.int64)
-        d = t.column("dst").to_numpy().astype(np.int64)
-        m = s != d
-        a = np.minimum(s[m], d[m])
-        b = np.maximum(s[m], d[m])
-        u = np.unique(a * (1 << 32) + b)
-        return pa.table({"a": pa.array(u >> 32),
-                         "b": pa.array(u & ((1 << 32) - 1))})
-
-    def ab_hash(t: pa.Table) -> np.ndarray:
-        # Fibonacci hash of the packed pair, top 6 bits
-        u = (t.column("a").to_numpy().astype(np.int64) * (1 << 32)
-             + t.column("b").to_numpy().astype(np.int64))
-        return ((u.astype(np.uint64) * np.uint64(11400714819323198485))
-                >> np.uint64(58))
-
-    def dedup_ab(g: pd.DataFrame) -> pa.Table:
-        u = np.unique(g["a"].to_numpy(np.int64) * (1 << 32)
-                      + g["b"].to_numpy(np.int64))
-        return pa.table({"a": pa.array(u >> 32),
-                         "b": pa.array(u & ((1 << 32) - 1))})
-
-    und = bucket_groups(edges.map_batches(undirect, batch_format="pyarrow"),
-                        ab_hash, dedup_ab).materialize()
+    und = undirected_edges(sf_dir).materialize()
 
     n_max = int(read(sf_dir, "part", columns=["p_partkey"])
                 .to_pandas()["p_partkey"].max())
@@ -727,7 +700,7 @@ def part_rich_club(sf_dir: str) -> pd.DataFrame:
     """RICH-CLUB coefficient of the part co-purchase graph — do the
     highest-degree parts preferentially link to EACH OTHER (a hub
     oligarchy the assortativity scalar can miss): the distributed
-    edge builder (`_build_edges`, graph.py:31) feeds an undirected
+    edge builder (`kernels._build_edges`) feeds an undirected
     distinct edge set; the club at p90/p99 is the top ceil(N/10) /
     ceil(N/100) nodes by the total order (degree desc, partkey), and
     each club's internal density reports as the exact integer

@@ -20,11 +20,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from .exchange import BUCKETS, bucket_groups, bucket_map, read
 from .kernels import (
-    day_bounds, nation_flow_join, tag_lineitem, tag_order_cust)
+    day_bounds, dense_lookup, nation_flow_join, run_starts, tag_lineitem,
+    tag_order_cust)
 
 
 def order_priority_revenue(sf_dir: str) -> pd.DataFrame:
@@ -675,10 +676,8 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     stats = bucket_map(items.map_batches(part_stats, batch_format="pyarrow"),
                        "l_partkey", reduce_bucket)
     pk = stats["l_partkey"].to_numpy(np.int64)
-    lut_s = np.zeros(pk.max() + 1, dtype=np.int64)
-    lut_c = np.zeros(pk.max() + 1, dtype=np.int64)
-    lut_s[pk] = stats["s"].to_numpy(np.int64)
-    lut_c[pk] = stats["c"].to_numpy(np.int64)
+    lut_s = dense_lookup(pk, stats["s"].to_numpy(np.int64))
+    lut_c = dense_lookup(pk, stats["c"].to_numpy(np.int64))
     ref = ray.put((lut_s, lut_c))
 
     def pick(t: pa.Table) -> pa.Table:
@@ -714,8 +713,8 @@ def q14_promo_revenue(sf_dir: str, year: int = 1996) -> pd.DataFrame:
     part = (read(sf_dir, "part", columns=["p_partkey", "p_type"])
             .to_pandas())
     pk = part["p_partkey"].to_numpy(np.int64)
-    promo = np.zeros(pk.max() + 1, dtype=bool)
-    promo[pk] = (part["p_type"].to_numpy(object) == "PROMO")
+    promo = dense_lookup(
+        pk, (part["p_type"].to_numpy(object) == "PROMO"), bool)
     ref = ray.put(promo)
 
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
@@ -770,14 +769,12 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
 
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
-    c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
+    c_nat = dense_lookup(ck, cust["c_nationkey"].to_numpy(np.int64))
 
     ref = ray.put((nname, s_nat, c_nat))
     lo = np.datetime64(f"{y0}-01-01", "us").astype(np.int64)
@@ -865,8 +862,7 @@ def q19_bracket_revenue(sf_dir: str) -> pd.DataFrame:
                  columns=["p_partkey", "p_brand", "p_size"]).to_pandas())
     pk = part["p_partkey"].to_numpy(np.int64)
     brands = part["p_brand"].to_numpy(object)
-    size = np.zeros(pk.max() + 1, dtype=np.int64)
-    size[pk] = part["p_size"].to_numpy(np.int64)
+    size = dense_lookup(pk, part["p_size"].to_numpy(np.int64))
     bidx = np.full(pk.max() + 1, -1, dtype=np.int64)
     for i, (b, *_rest) in enumerate(brackets):
         bidx[pk[brands == b]] = i
@@ -1053,8 +1049,6 @@ def q10_returned_revenue(sf_dir: str, year: int = 1996,
     the second exchange moves ≤ |custkeys-per-bucket| rows. The top-k
     runs on the custkey aggregate (customer-dimension-sized); names
     attach from a broadcast LUT only for the k winners."""
-    import ray
-
     lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
     hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
 
@@ -1246,21 +1240,20 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
     part = read(sf_dir, "part",
                 columns=["p_partkey", "p_type"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
-    type_ok = np.zeros(pk.max() + 1, dtype=bool)
-    type_ok[pk] = part["p_type"].to_numpy(object) == p_type
+    type_ok = dense_lookup(pk, part["p_type"].to_numpy(object) == p_type, bool)
 
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_is_nation = np.zeros(sk.max() + 1, dtype=bool)
-    s_is_nation[sk] = supp["s_nationkey"].to_numpy(np.int64) == nkey
+    s_is_nation = dense_lookup(
+        sk, supp["s_nationkey"].to_numpy(np.int64) == nkey, bool)
 
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_in_region = np.zeros(ck.max() + 1, dtype=bool)
-    c_in_region[ck] = np.isin(cust["c_nationkey"].to_numpy(np.int64),
-                              list(region_nations))
+    c_in_region = dense_lookup(
+        ck, np.isin(cust["c_nationkey"].to_numpy(np.int64),
+                    list(region_nations)), bool)
 
     ref = ray.put((type_ok, s_is_nation, c_in_region))
     lo = np.datetime64(f"{y0}-01-01", "us").astype(np.int64)
@@ -1362,15 +1355,14 @@ def q9_nation_year_revenue(sf_dir: str,
     part = read(sf_dir, "part",
                 columns=["p_partkey", "p_name"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
-    name_ok = np.zeros(pk.max() + 1, dtype=bool)
-    name_ok[pk] = part["p_name"].str.contains(name_like,
-                                              regex=False).to_numpy()
+    name_ok = dense_lookup(
+        pk, part["p_name"].str.contains(name_like,
+                                        regex=False).to_numpy(), bool)
 
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
 
     ref = ray.put((name_ok, s_nat, nname))
 
@@ -1456,8 +1448,8 @@ def q2_min_cost_supplier(sf_dir: str, max_size: int = 10) -> pd.DataFrame:
 
     part = read(sf_dir, "part", columns=["p_partkey", "p_size"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
-    keep = np.zeros(pk.max() + 1, dtype=bool)
-    keep[pk] = part["p_size"].to_numpy(np.int64) <= max_size
+    keep = dense_lookup(
+        pk, part["p_size"].to_numpy(np.int64) <= max_size, bool)
     keep_ref = ray.put(keep)
 
     items = read(sf_dir, "lineitem",
@@ -1581,8 +1573,8 @@ def q11_important_parts(sf_dir: str, nationkey: int = 3,
     sup = read(sf_dir, "supplier",
                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = sup["s_suppkey"].to_numpy(np.int64)
-    in_nation = np.zeros(sk.max() + 1, dtype=bool)
-    in_nation[sk] = sup["s_nationkey"].to_numpy(np.int64) == nationkey
+    in_nation = dense_lookup(
+        sk, sup["s_nationkey"].to_numpy(np.int64) == nationkey, bool)
     ref = ray.put(in_nation)
 
     items = read(sf_dir, "lineitem",
@@ -1725,8 +1717,7 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
     sup = read(sf_dir, "supplier",
                columns=["s_suppkey", "s_acctbal"]).to_pandas()
     sk = sup["s_suppkey"].to_numpy(np.int64)
-    bad = np.zeros(sk.max() + 1, dtype=bool)
-    bad[sk] = sup["s_acctbal"].to_numpy() < 0
+    bad = dense_lookup(sk, sup["s_acctbal"].to_numpy() < 0, bool)
     ref = ray.put((code_of_part, bad))
 
     items = read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
@@ -2466,9 +2457,7 @@ def part_substitutes(sf_dir: str) -> pd.DataFrame:
         c = g["cents"].to_numpy(np.int64)
         order = np.lexsort((pk, codes))
         codes, pk, c = codes[order], pk[order], c[order]
-        first = np.empty(len(codes), dtype=bool)
-        first[0] = True
-        first[1:] = codes[1:] != codes[:-1]
+        first = run_starts(codes)
         idx = np.arange(len(codes))
         starts = np.flatnonzero(first)
         seg_len = np.diff(np.append(starts, len(codes)))
@@ -2523,9 +2512,7 @@ def part_triple_support(sf_dir: str, topn: int = 100) -> pd.DataFrame:
     def triples(g: pd.DataFrame) -> pa.Table:
         pk = np.unique(g["pk"].to_numpy(np.int64))  # cross-block dedup
         oo, pp = pk >> 21, pk & ((1 << 21) - 1)
-        new = np.empty(len(pk), dtype=bool)
-        new[0] = True
-        new[1:] = oo[1:] != oo[:-1]
+        new = run_starts(oo)
         starts = np.flatnonzero(new)
         lens = np.append(starts[1:], len(pk)) - starts
         outs = []
@@ -2819,9 +2806,7 @@ def order_flag_signature(sf_dir: str) -> pd.DataFrame:
         codes = np.searchsorted(flags, fl).astype(np.int64)
         order = np.lexsort((codes, ln, ok))
         oks, cs = ok[order], codes[order]
-        new = np.empty(len(oks), dtype=bool)
-        new[0] = True
-        new[1:] = oks[1:] != oks[:-1]
+        new = run_starts(oks)
         seg = np.cumsum(new) - 1
         idx = np.arange(len(oks), dtype=np.int64)
         pos = idx - idx[new][seg]
@@ -2870,14 +2855,12 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
 
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
-    c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
+    c_nat = dense_lookup(ck, cust["c_nationkey"].to_numpy(np.int64))
 
     ref = ray.put((s_nat, c_nat))
 
@@ -2967,8 +2950,7 @@ def customer_balance_deciles(sf_dir: str) -> pd.DataFrame:
     order = np.lexsort((ck, cents))
     dec = np.empty(n, dtype=np.int64)
     dec[order] = 10 * np.arange(n, dtype=np.int64) // n
-    lut = np.zeros(ck.max() + 1, dtype=np.int64)
-    lut[ck] = dec
+    lut = dense_lookup(ck, dec)
     n_cust = np.bincount(dec, minlength=10).astype(np.int64)
     ref = ray.put(lut)
 
@@ -3003,8 +2985,6 @@ def returns_by_ship_lag(sf_dir: str) -> pd.DataFrame:
     (n, returned) partials — the lag grid is contract-bounded
     (~4 months in TPC-H-shaped data), so the driver fold is
     grid-sized at any volume."""
-    import ray as _ray  # noqa: F401  (kept for parity with siblings)
-
     items = read(sf_dir, "lineitem",
                  columns=["l_orderkey", "l_shipdate", "l_returnflag"])
     orders = read(sf_dir, "orders",
@@ -3144,8 +3124,6 @@ def user_part_negatives(sf_dir: str, k: int = 4,
     per-customer loop). Duplicate candidates are kept by rule
     (identical on both sides). Output pins every assignment: per
     negative rank, the user count and partkey checksum."""
-    import ray
-
     part = read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
     max_part = int(part["p_partkey"].max())
 
@@ -3311,8 +3289,7 @@ def repeat_purchase_gaps(sf_dir: str, cap_weeks: int = 26) -> \
         pair = np.unique((code * (1 << 25) + p) * (1 << 16) + d)
         cp = pair >> 16
         dd = pair & ((1 << 16) - 1)
-        same = np.zeros(len(pair), dtype=bool)
-        same[1:] = cp[1:] == cp[:-1]
+        same = ~run_starts(cp)
         gp = (dd[1:] - dd[:-1])[same[1:]]
         gw = np.minimum(gp // 7, cap_weeks)
         return pd.DataFrame({
@@ -3487,14 +3464,12 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
 
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
-    c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
+    c_nat = dense_lookup(ck, cust["c_nationkey"].to_numpy(np.int64))
 
     ref = ray.put((s_nat, c_nat))
 
@@ -3656,13 +3631,11 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
-    c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
+    c_nat = dense_lookup(ck, cust["c_nationkey"].to_numpy(np.int64))
     ref = ray.put((s_nat, c_nat))
 
     items = read(sf_dir, "lineitem",
@@ -3706,8 +3679,7 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c_nat = np.zeros(ck.max() + 1, dtype=np.int64)
-    c_nat[ck] = cust["c_nationkey"].to_numpy(np.int64)
+    c_nat = dense_lookup(ck, cust["c_nationkey"].to_numpy(np.int64))
     ref = ray.put(c_nat)
 
     items = read(sf_dir, "lineitem",
@@ -3793,16 +3765,14 @@ def supplier_type_coverage(sf_dir: str) -> pd.DataFrame:
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
     n_supp = supp.groupby("s_nationkey").size().to_dict()
 
     part = read(sf_dir, "part",
                 columns=["p_partkey", "p_type"]).to_pandas()
     tcode, tuniq = pd.factorize(part["p_type"], sort=True)
     pk = part["p_partkey"].to_numpy(np.int64)
-    p_type = np.zeros(pk.max() + 1, dtype=np.int64)
-    p_type[pk] = tcode
+    p_type = dense_lookup(pk, tcode)
     n_types = len(tuniq)
     ref = ray.put((s_nat, p_type))
 
@@ -3847,8 +3817,7 @@ def part_supply_resilience(sf_dir: str) -> pd.DataFrame:
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
-    s_nat = np.zeros(sk.max() + 1, dtype=np.int64)
-    s_nat[sk] = supp["s_nationkey"].to_numpy(np.int64)
+    s_nat = dense_lookup(sk, supp["s_nationkey"].to_numpy(np.int64))
     ref = ray.put(s_nat)
 
     ds = read(sf_dir, "lineitem",
@@ -3911,8 +3880,7 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
                 columns=["p_partkey", "p_brand"]).to_pandas()
     bcode, buniq = pd.factorize(part["p_brand"], sort=True)
     pk = part["p_partkey"].to_numpy(np.int64)
-    p_br = np.zeros(pk.max() + 1, dtype=np.int64)
-    p_br[pk] = bcode
+    p_br = dense_lookup(pk, bcode)
     ref = ray.put(p_br)
 
     items = read(sf_dir, "lineitem",
@@ -3968,8 +3936,6 @@ def orders_size_slope(sf_dir: str) -> pd.DataFrame:
     the tagged-union orderkey exchange (lineitem ships only (key, 1)
     counts); each bucket joins its orders and emits ONE five-moment
     partial row. The marginal-basket economics number."""
-    import ray
-
     items = read(sf_dir, "lineitem", columns=["l_orderkey"])
     orders = read(sf_dir, "orders",
                   columns=["o_orderkey", "o_totalprice"])
@@ -4035,9 +4001,8 @@ def region_share_shift(sf_dir: str) -> pd.DataFrame:
 
     nat = read(sf_dir, "nation",
                columns=["n_nationkey", "n_regionkey"]).to_pandas()
-    n2r = np.zeros(int(nat["n_nationkey"].max()) + 1, dtype=np.int64)
-    n2r[nat["n_nationkey"].to_numpy(np.int64)] = \
-        nat["n_regionkey"].to_numpy(np.int64)
+    n2r = dense_lookup(nat["n_nationkey"].to_numpy(np.int64),
+                       nat["n_regionkey"].to_numpy(np.int64))
     reg = read(sf_dir, "region",
                columns=["r_regionkey", "r_name"]).to_pandas()
     rname = dict(zip(reg["r_regionkey"].astype(int),
@@ -4045,8 +4010,7 @@ def region_share_shift(sf_dir: str) -> pd.DataFrame:
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
-    c2r = np.zeros(ck.max() + 1, dtype=np.int64)
-    c2r[ck] = n2r[cust["c_nationkey"].to_numpy(np.int64)]
+    c2r = dense_lookup(ck, n2r[cust["c_nationkey"].to_numpy(np.int64)])
     ref = ray.put(c2r)
 
     ds = read(sf_dir, "orders",
@@ -4148,9 +4112,7 @@ def supplier_first_touch_share(sf_dir: str) -> pd.DataFrame:
         ln = g["ln"].to_numpy(np.int64)
         order = np.lexsort((ln, s, d, o))
         o, s = o[order], s[order]
-        first = np.empty(len(o), dtype=bool)
-        first[0] = True
-        first[1:] = o[1:] != o[:-1]
+        first = run_starts(o)
         fs = s[first]
         nk = snk[np.searchsorted(sk, fs)]
         u, c = np.unique(nk, return_counts=True)
@@ -4215,9 +4177,7 @@ def order_ship_sync_census(sf_dir: str) -> pd.DataFrame:
         d = g["d"].to_numpy(np.int64)
         order = np.lexsort((d, o))
         o, d = o[order], d[order]
-        newo = np.empty(len(o), dtype=bool)
-        newo[0] = True
-        newo[1:] = o[1:] != o[:-1]
+        newo = run_starts(o)
         ostarts = np.flatnonzero(newo)
         m = np.diff(np.append(ostarts, len(o)))
         newd = newo.copy()
@@ -4397,9 +4357,7 @@ def order_brand_diversity_curve(sf_dir: str) -> pd.DataFrame:
         b = g["b"].to_numpy(np.int64)
         order = np.lexsort((b, o))
         o, b = o[order], b[order]
-        newo = np.empty(len(o), dtype=bool)
-        newo[0] = True
-        newo[1:] = o[1:] != o[:-1]
+        newo = run_starts(o)
         starts = np.flatnonzero(newo)
         m = np.diff(np.append(starts, len(o)))
         newb = newo.copy()

@@ -6,10 +6,22 @@ run unchanged. A kernel that reads a value from its query (a split
 day, histogram bounds, a broadcast ``ObjectRef``) takes it as a
 keyword argument and the query binds it with ``functools.partial``; a
 kernel that differs between queries only in one constant (a column
-name) takes that constant the same way. Also here: the two preambles
+name) takes that constant the same way. Also here: the preambles
 that whole query families repeat, ``orders_daily_cents`` (the per-day
-order revenue series) and ``undirected_edges`` (the distinct
-undirected part co-occurrence edges).
+order revenue series), ``undirected_edges`` (the distinct undirected
+part co-occurrence edges) and ``half_flags`` (per-key activity in each
+half of a timeline, closed by ``churn_census``).
+
+The statement blocks that query bodies repeat are here too, one
+function per decision:
+
+- ``run_starts(*keys)``: the run-boundary mask over sorted rows;
+- ``dense_lookup(keys, values)``: a dense key -> value array;
+- ``session_order(src, *extra)``: a group's or block's columns in the
+  per-user ``(user_id, ts_us, event_id)`` event order;
+- ``greedy_pack``/``pack_docs``: in-order sequence packing;
+- ``pair_masses``/``gamma_milli``: concordant/discordant pair masses
+  of a 2-D count grid and the Goodman-Kruskal gamma they close to.
 
 Why a leaf module: Ray pickles a module-level function by reference,
 and a worker imports the defining module the first time it runs one of
@@ -22,6 +34,8 @@ a hoisted kernel stays small, where ``analytics`` alone takes about
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -33,6 +47,86 @@ from ..functions.hashing import hash64_many, mix64
 from .exchange import bucket_groups, read
 
 _DAY_US = 86_400_000_000
+
+
+# ------------------------------------------------------ statement blocks
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Bool mask over rows sorted by ``keys``: True at row 0 and
+    wherever any key differs from the row before. Empty input (or no
+    key) gives an empty mask."""
+    brk = np.zeros(len(keys[0]) if keys else 0, dtype=bool)
+    brk[:1] = True
+    for k in keys:
+        brk[1:] |= k[1:] != k[:-1]
+    return brk
+
+
+def dense_lookup(keys: np.ndarray, values, dtype=np.int64) -> np.ndarray:
+    """Dense key -> value array over ``0..keys.max()``; keys absent
+    from ``keys`` map to zero (False for a bool ``dtype``)."""
+    lut = np.zeros(keys.max() + 1, dtype=dtype)
+    lut[keys] = values
+    return lut
+
+
+def session_order(src, *extra: str,
+                  keys: tuple[str, str, str] = ("user_id", "ts_us",
+                                                "event_id")) -> tuple:
+    """The per-user event order of a group (pandas) or block (arrow):
+    ``(user, ts, event, *extra)`` gathered by
+    ``np.lexsort((event, ts, user))``, the three ``keys`` columns as
+    int64 and each ``extra`` column as numpy reads it."""
+    u, ts, e = (np.asarray(src[c]).astype(np.int64, copy=False)
+                for c in keys)
+    order = np.lexsort((e, ts, u))
+    return (u[order], ts[order], e[order],
+            *(np.asarray(src[c])[order] for c in extra))
+
+
+def greedy_pack(lens: np.ndarray, budget: int) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Greedy in-order packing into sequences of at most ``budget``
+    (an item over the budget opens a sequence of its own): per item
+    its sequence index and its offset in that sequence."""
+    seq = np.empty(len(lens), dtype=np.int64)
+    off = np.empty(len(lens), dtype=np.int64)
+    cur_seq, cur_off = 0, 0
+    for i, ln in enumerate(lens):
+        if cur_off > 0 and cur_off + ln > budget:
+            cur_seq += 1
+            cur_off = 0
+        seq[i] = cur_seq
+        off[i] = cur_off
+        cur_off += ln
+    return seq, off
+
+
+def pair_masses(grid: np.ndarray) -> tuple[int, int]:
+    """Concordant and discordant pair masses of a 2-D count grid
+    (rows and columns both ordinal), exact, via 2-D suffix sums: pair
+    counts are computed by grid algebra, never enumerated."""
+    na, nb = grid.shape
+    gt = np.zeros((na + 1, nb + 1), dtype=object)
+    for i in range(na - 1, -1, -1):
+        for j in range(nb - 1, -1, -1):
+            gt[i][j] = (int(grid[i][j]) + gt[i + 1][j]
+                        + gt[i][j + 1] - gt[i + 1][j + 1])
+    conc = 0
+    disc = 0
+    for i, j in zip(*np.nonzero(grid)):
+        nij = int(grid[i][j])
+        conc += nij * int(gt[i + 1][j + 1])
+        lower = gt[i + 1][0] - gt[i + 1][j] if j > 0 else 0
+        disc += nij * int(lower)
+    return conc, disc
+
+
+def gamma_milli(conc: int, disc: int) -> int:
+    """Goodman-Kruskal gamma in milli, ``sgn * 1000*|C-D| // (C+D)``;
+    0 when there is no pair."""
+    tot = conc + disc
+    sgn = 1 if conc >= disc else -1
+    return sgn * (1000 * abs(conc - disc) // tot) if tot > 0 else 0
 
 
 # ------------------------------------------------------- spans and days
@@ -146,16 +240,48 @@ def orders_cust_day_key_cents(t: pa.Table) -> pa.Table:
                       .astype(np.int64))})
 
 
-def customer_halves(t: pa.Table, mid: int) -> pa.Table:
-    c = t.column("o_custkey").to_numpy().astype(np.int64)
-    d = t.column("o_orderdate").cast(pa.int64()).to_numpy() // _DAY_US
-    cu, inv = np.unique(c, return_inverse=True)
-    h1 = np.zeros(len(cu), np.int64)
+def key_halves(t: pa.Table, key: str, date: str, mid: int) -> pa.Table:
+    k = t.column(key).to_numpy().astype(np.int64)
+    d = t.column(date).cast(pa.int64()).to_numpy() // _DAY_US
+    ku, inv = np.unique(k, return_inverse=True)
+    h1 = np.zeros(len(ku), np.int64)
     np.maximum.at(h1, inv, (d <= mid).astype(np.int64))
-    h2 = np.zeros(len(cu), np.int64)
+    h2 = np.zeros(len(ku), np.int64)
     np.maximum.at(h2, inv, (d > mid).astype(np.int64))
-    return pa.table({"c": pa.array(cu), "h1": pa.array(h1),
+    return pa.table({"k": pa.array(ku), "h1": pa.array(h1),
                      "h2": pa.array(h2)})
+
+
+def half_flags(sf_dir: str, table: str, key: str,
+               date: str) -> pd.DataFrame:
+    """Split ``table``'s ``date`` timeline at its midpoint day and flag
+    every ``key``: ``h1``/``h2`` is 1 when the key has a row in the
+    first (``<= mid``)/second half. One min/max day pass, then
+    per-block flag partials folded on the driver (keys are
+    dimension-sized); indexed by key, ascending."""
+    ds = read(sf_dir, table, columns=[key, date])
+    sp = ds.map_batches(functools.partial(day_span, col=date),
+                        batch_format="pyarrow").to_pandas()
+    mid = (int(sp["mn"].min()) + int(sp["mx"].max())) // 2
+    return (ds.map_batches(functools.partial(key_halves, key=key,
+                                             date=date, mid=mid),
+                           batch_format="pyarrow")
+            .to_pandas().groupby("k")[["h1", "h2"]].max())
+
+
+def churn_census(g: pd.DataFrame, columns: list[str]) -> pd.DataFrame:
+    """One-row churn census over ``half_flags``: keys seen, active in
+    both halves, first half only, second half only, and H1->H2
+    retention in exact bps."""
+    h1 = g["h1"].to_numpy(np.int64)
+    h2 = g["h2"].to_numpy(np.int64)
+    n_both = int((h1 & h2).sum())
+    n_h1 = int(((h1 == 1) & (h2 == 0)).sum())
+    n_h2 = int(((h1 == 0) & (h2 == 1)).sum())
+    return pd.DataFrame(
+        [(len(g), n_both, n_h1, n_h2,
+          10000 * n_both // (n_both + n_h1))],
+        columns=columns).astype("int64")
 
 
 def orders_priority_month_status(t: pa.Table) -> pa.Table:
@@ -164,6 +290,14 @@ def orders_priority_month_status(t: pa.Table) -> pa.Table:
     return pa.table({"pr": t.column("o_orderpriority"),
                      "mo": pa.array(mo),
                      "st": t.column("o_orderstatus")})
+
+
+def status_day_stats(t: pa.Table, status: str, date: str) -> pa.Table:
+    d = t.column(date).cast(pa.int64()).to_numpy() // _DAY_US
+    df = pd.DataFrame({"st": t.column(status).to_pylist(), "d": d})
+    g = df.groupby("st").agg(n=("d", "size"), mn=("d", "min"),
+                             mx=("d", "max")).reset_index()
+    return pa.Table.from_pandas(g, preserve_index=False)
 
 
 def tag_order_cust(t: pa.Table) -> pa.Table:
@@ -483,12 +617,7 @@ def user_type_counts(t: pa.Table) -> pa.Table:
 
 
 def type_transition_fold(g: pd.DataFrame) -> pd.DataFrame:
-    u = g["u"].to_numpy(np.int64)
-    ts = g["ts"].to_numpy(np.int64)
-    eid = g["eid"].to_numpy(np.int64)
-    ty = g["ty"].to_numpy()
-    order = np.lexsort((eid, ts, u))
-    u, ty = u[order], ty[order]
+    u, _, _, ty = session_order(g, "ty", keys=("u", "ts", "eid"))
     same = np.empty(len(u), dtype=bool)
     if len(u):
         same[:-1] = u[1:] == u[:-1]
@@ -583,6 +712,19 @@ def tag_kept_docs(t: pa.Table, keep_ref, part_size: int) -> pa.Table:
     t = t.filter(pa.array(m))
     block = t.column("doc_id").to_numpy() // part_size
     return t.append_column("block", pa.array(block.astype(np.int64)))
+
+
+def pack_docs(g: pd.DataFrame, budget: int) -> pd.DataFrame:
+    """Pack one id-block of ``(doc_id, n_chars, block)`` rows in
+    doc_id order: per doc its sequence id (``block << 20`` plus the
+    local index) and its character offset in the sequence."""
+    g = g.sort_values("doc_id", kind="mergesort")
+    n = g["n_chars"].to_numpy()
+    seq, off = greedy_pack(n, budget)
+    base = int(g["block"].iloc[0]) << 20
+    return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
+                         "seq_id": base + seq, "seq_off": off,
+                         "n_chars": n})
 
 
 def lead_pair_derive(t: pa.Table, el_ref) -> pa.Table:

@@ -71,6 +71,19 @@ class MediaDecodeStage:
         )
 
 
+def _payload_stage(sf_dir: str, stage) -> ray.data.Dataset:
+    """Documents as binary payloads through the actor-pool ``stage``
+    (a callable class), in small batches sized for binary columns.
+    Left lazy."""
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                               columns=["doc_id", "text"])
+    # autoscaling (1, 8) actor pool: a FIXED pool of N would deadlock on
+    # hosts with fewer than N CPUs, and the min=1 floor lets the stage
+    # start as soon as one actor is placed
+    return ds.map_batches(_to_payload, batch_format="pyarrow").map_batches(
+        stage, batch_format="pyarrow", batch_size=256, concurrency=(1, 8))
+
+
 def _to_payload(t: pa.Table) -> pa.Table:
     """Treat document text as an opaque binary payload column (the
     testdata has no real media; the schema/flow is what's under test)."""
@@ -140,36 +153,18 @@ class MediaFrameSampler:
 
 
 def media_features(sf_dir: str) -> pd.DataFrame:
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    out = ds.map_batches(_to_payload, batch_format="pyarrow").map_batches(
-        MediaFeatureStage, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 8))
-    return out.to_pandas()
+    return _payload_stage(sf_dir, MediaFeatureStage).to_pandas()
 
 
 def media_frames(sf_dir: str) -> pd.DataFrame:
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    out = ds.map_batches(_to_payload, batch_format="pyarrow").map_batches(
-        MediaFrameSampler, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 8))
-    return out.to_pandas()
+    return _payload_stage(sf_dir, MediaFrameSampler).to_pandas()
 
 
 def media_metadata(sf_dir: str) -> pd.DataFrame:
     """documents → binary payloads → actor-pool decode → typed metadata.
     Small batch_size on purpose: binary payload batches must be sized to
     the worker heap (SURVEY.md 'Memory-aware')."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    # autoscaling (1, 8) actor pool: a FIXED pool of N would deadlock on
-    # hosts with fewer than N CPUs, and the min=1 floor lets the stage
-    # start as soon as one actor is placed
-    out = ds.map_batches(_to_payload, batch_format="pyarrow").map_batches(
-        MediaDecodeStage, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 8))
-    return out.to_pandas()
+    return _payload_stage(sf_dir, MediaDecodeStage).to_pandas()
 
 
 class MediaResizeStage:
@@ -212,12 +207,7 @@ class MediaResizeStage:
 
 
 def media_resized(sf_dir: str) -> pd.DataFrame:
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    out = ds.map_batches(_to_payload, batch_format="pyarrow").map_batches(
-        MediaResizeStage, batch_format="pyarrow", batch_size=256,
-        concurrency=(1, 8))
-    return out.to_pandas()
+    return _payload_stage(sf_dir, MediaResizeStage).to_pandas()
 
 
 class MediaPhashStage:
@@ -254,11 +244,7 @@ def media_phash_bands(sf_dir: str) -> pd.DataFrame:
     exchange (collision groups must merge across blocks before
     c·(c−1)/2); partials per bucket are bounded by occupied buckets,
     not docs."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    hashed = ds.map_batches(_to_payload, batch_format="pyarrow") \
-        .map_batches(MediaPhashStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(1, 8))
+    hashed = _payload_stage(sf_dir, MediaPhashStage)
 
     def derive(t: pa.Table) -> pa.Table:
         vals = np.concatenate(
@@ -313,9 +299,7 @@ def media_phash_near_pairs(sf_dir: str) -> pd.DataFrame:
     md5 band and bit_count(xor) verbatim."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    hashed = ds.map_batches(_to_payload, batch_format="pyarrow") \
-        .map_batches(MediaPhashStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(1, 8))
+    hashed = _payload_stage(sf_dir, MediaPhashStage)
 
     def derive(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy().astype(np.int64)
@@ -400,9 +384,7 @@ def media_frame_coverage(sf_dir: str) -> pd.DataFrame:
     verbatim."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    frames = ds.map_batches(_to_payload, batch_format="pyarrow") \
-        .map_batches(MediaFrameSampler, batch_format="pyarrow",
-                     batch_size=256, concurrency=(1, 8))
+    frames = _payload_stage(sf_dir, MediaFrameSampler)
 
     def count_rows(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy().astype(np.int64)
@@ -483,12 +465,7 @@ def media_scene_changes(sf_dir: str) -> pd.DataFrame:
     arithmetic and every md5 hash bit (bit_count(xor) on the same
     60-bit lattice). Small batches for wide binary; the histogram
     fold is cut-cardinality-sized — ZERO shuffle."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    out = (ds.map_batches(_to_payload, batch_format="pyarrow")
-           .map_batches(MediaSceneStage, batch_format="pyarrow",
-                        batch_size=256, concurrency=(1, 8))
-           .to_pandas())
+    out = _payload_stage(sf_dir, MediaSceneStage).to_pandas()
     n = len(out)
     g = out.groupby("n_cuts", as_index=False).agg(
         n_docs=("doc_id", "size"), sum_frames=("n_sampled", "sum"))

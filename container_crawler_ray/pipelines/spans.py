@@ -12,11 +12,14 @@ the flattened (SQL-checkable) forms are produced by the same kernel.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from ..schemas import SPAN_STRUCT
+from .kernels import greedy_pack, pack_docs
 
 
 def assemble_spans_batch(t: pa.Table) -> pa.Table:
@@ -124,8 +127,6 @@ def pack_sequences(sf_dir: str, budget: int = 2048,
 
     Output: one row per doc — (doc_id, seq_id, seq_off, n_chars).
     Golden oracle: straight-line single-process packer."""
-    import pandas as pd
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "n_chars"])
 
@@ -133,27 +134,10 @@ def pack_sequences(sf_dir: str, budget: int = 2048,
         block = t.column("doc_id").to_numpy() // part_size
         return t.append_column("block", pa.array(block.astype(np.int64)))
 
-    def pack(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values("doc_id", kind="mergesort")
-        n = g["n_chars"].to_numpy()
-        seq = np.empty(len(n), dtype=np.int64)
-        off = np.empty(len(n), dtype=np.int64)
-        cur_seq, cur_off = 0, 0
-        for i, ln in enumerate(n):       # bounded by part_size (256)
-            if cur_off > 0 and cur_off + ln > budget:
-                cur_seq += 1
-                cur_off = 0
-            seq[i] = cur_seq
-            off[i] = cur_off
-            cur_off += ln
-        base = int(g["block"].iloc[0]) << 20
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
-                             "seq_id": base + seq,
-                             "seq_off": off,
-                             "n_chars": n})
-
     out = (ds.map_batches(tag, batch_format="pyarrow")
-           .groupby("block").map_groups(pack, batch_format="pandas")
+           .groupby("block").map_groups(
+               functools.partial(pack_docs, budget=budget),
+               batch_format="pandas")
            .to_pandas())
     return out.astype({"seq_id": "int64", "seq_off": "int64",
                        "n_chars": "int64"})
@@ -182,8 +166,6 @@ def interleaved_pack(sf_dir: str, budget: int = 2048,
     (order-independent, so the reduce is exchange-safe).
     Golden oracle: straight-line single-process reimplementation."""
     import hashlib
-
-    import pandas as pd
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -223,15 +205,7 @@ def interleaved_pack(sf_dir: str, budget: int = 2048,
 
     def pack(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values("doc_id", kind="mergesort")
-        cost = g["cost"].to_numpy(np.int64)
-        seq = np.empty(len(cost), dtype=np.int64)
-        cur_seq, cur_off = 0, 0
-        for i, c in enumerate(cost):         # bounded by part_size
-            if cur_off > 0 and cur_off + c > budget:
-                cur_seq += 1
-                cur_off = 0
-            seq[i] = cur_seq
-            cur_off += c
+        seq, _ = greedy_pack(g["cost"].to_numpy(np.int64), budget)
         base = int(g["block"].iloc[0]) << 20
         g = g.assign(seq_id=base + seq)
         sig = g.groupby("seq_id")["media_sig"].apply(

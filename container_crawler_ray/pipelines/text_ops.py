@@ -797,8 +797,6 @@ def docs_entropy_rate_by_source(sf_dir: str) -> pd.DataFrame:
     row per source; the driver folds |sources| rows."""
     import math
 
-    import pyarrow.compute as _pc  # noqa: F401
-
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["source", "text"])
 
@@ -868,8 +866,6 @@ def source_js_divergence_matrix(sf_dir: str) -> pd.DataFrame:
     pivot and, per source pair, vectorized integer u/v with a
     libm-log table — emitting one (pair, S_a_part, S_b_part,
     n_common) partial; the driver folds 64×|pairs| rows."""
-    import math
-
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["source", "text"])
 

@@ -972,3 +972,200 @@ def test_orders_daily_cents_equals_pandas(rows, n_blocks):
     assert days.dtype == cents.dtype == np.int64
     np.testing.assert_array_equal(days, ref.index.to_numpy(np.int64))
     np.testing.assert_array_equal(cents, ref.to_numpy(np.int64))
+
+
+# ------------------------------------- one home per repeated statement block
+def _catalog_sources():
+    import glob
+
+    from container_crawler_ray import pipelines
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(pipelines.__file__), "*.py"))):
+        yield os.path.basename(path), open(path).read()
+
+
+def test_catalog_imports_are_loaded_where_imported():
+    """Every name an ``import`` binds in ``pipelines/*.py`` is read in
+    the scope that imports it (the module, or the function and the
+    functions nested in it)."""
+    import ast
+
+    dead = []
+    for name, src in _catalog_sources():
+        tree = ast.parse(src)
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            loaded = {n.id for n in ast.walk(scope)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            # the imports of this scope itself, not of nested functions
+            stack, imports = list(ast.iter_child_nodes(scope)), []
+            while stack:
+                n = stack.pop()
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                    continue
+                if isinstance(n, (ast.Import, ast.ImportFrom)):
+                    imports.append(n)
+                stack.extend(ast.iter_child_nodes(n))
+            for imp in imports:
+                if isinstance(imp, ast.ImportFrom) \
+                        and imp.module == "__future__":
+                    continue
+                for a in imp.names:
+                    bound = a.asname or a.name.split(".")[0]
+                    if bound not in loaded:
+                        dead.append(f"{name}:{imp.lineno} {bound}")
+    assert not dead, "\n".join(dead)
+
+
+def _hits_outside_kernels(pattern):
+    import re
+    return [f"{name}:{i}: {line.strip()}"
+            for name, src in _catalog_sources() if name != "kernels.py"
+            for i, line in enumerate(src.splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_no_hand_built_dense_lookup_outside_kernels():
+    """A key -> value lookup array is built by ``kernels.dense_lookup``
+    only: no ``np.zeros(<keys>.max() + 1`` elsewhere in the catalog."""
+    hits = _hits_outside_kernels(r"np\.zeros\(\s*\w+\.max\(\)\s*\+\s*1")
+    assert not hits, "\n".join(hits)
+
+
+def test_no_session_order_lexsort_outside_kernels():
+    """The per-user ``(user_id, ts_us, event_id)`` event order is
+    ``kernels.session_order`` only: no ``lexsort((eid|e, ts, u))``
+    elsewhere in the catalog."""
+    hits = _hits_outside_kernels(
+        r"lexsort\(\(\s*(eid|e)\s*,\s*ts\s*,\s*u\s*\)\)")
+    assert not hits, "\n".join(hits)
+
+
+def test_no_hand_written_run_starts_outside_kernels():
+    """Run boundaries are ``kernels.run_starts`` only: no statement
+    ``<x>[1:] = <k>[1:] != <k>[:-1]`` (or an ``|`` of such compares)
+    elsewhere in the catalog. Boundaries that also test a gap stay."""
+    import ast
+
+    def sliced(n, s):
+        return (isinstance(n, ast.Subscript)
+                and isinstance(n.slice, ast.Slice)
+                and ast.unparse(n.slice) == s)
+
+    def run_cmp(v):
+        if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitOr):
+            return run_cmp(v.left) and run_cmp(v.right)
+        return (isinstance(v, ast.Compare) and len(v.ops) == 1
+                and isinstance(v.ops[0], ast.NotEq)
+                and sliced(v.left, "1:")
+                and sliced(v.comparators[0], ":-1")
+                and ast.dump(v.left.value)
+                == ast.dump(v.comparators[0].value))
+
+    hits = [f"{name}:{n.lineno} {ast.unparse(n)}"
+            for name, src in _catalog_sources() if name != "kernels.py"
+            for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Assign) and len(n.targets) == 1
+            and sliced(n.targets[0], "1:") and run_cmp(n.value)]
+    assert not hits, "\n".join(hits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                               st.sampled_from(["a", "b"])),
+                     max_size=12),
+       n_keys=st.integers(0, 3))
+@example(rows=[], n_keys=1)
+@example(rows=[(0, 0, "a")], n_keys=1)
+@example(rows=[(0, 0, "a")], n_keys=3)
+def test_run_starts_equals_row_spec(rows, n_keys):
+    """``run_starts`` over 0–3 keys (int and object) equals the row
+    spec: True at row 0 and where any key differs from the row before."""
+    from container_crawler_ray.pipelines.kernels import run_starts
+
+    cols = [np.array([r[i] for r in rows],
+                     dtype=object if i == 2 else np.int64)
+            for i in range(n_keys)]
+    want = [i == 0 or any(c[i] != c[i - 1] for c in cols)
+            for i in range(len(rows))] if n_keys else []
+    got = run_starts(*cols)
+    assert got.dtype == bool
+    assert got.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(kv=st.dictionaries(st.integers(0, 50), st.integers(-5, 5),
+                          min_size=1, max_size=20),
+       as_bool=st.booleans())
+def test_dense_lookup_equals_dict(kv, as_bool):
+    """``dense_lookup(keys, values)`` maps each key to its value and
+    every other slot up to ``keys.max()`` to zero (False for bool)."""
+    from container_crawler_ray.pipelines.kernels import dense_lookup
+
+    keys = np.array(list(kv), dtype=np.int64)
+    vals = np.array(list(kv.values()), dtype=np.int64)
+    if as_bool:
+        lut = dense_lookup(keys, vals > 0, bool)
+        want = [kv.get(k, 0) > 0 for k in range(max(kv) + 1)]
+    else:
+        lut = dense_lookup(keys, vals)
+        want = [kv.get(k, 0) for k in range(max(kv) + 1)]
+    assert lut.dtype == (bool if as_bool else np.int64)
+    assert lut.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                               st.integers(0, 1000), st.integers(-9, 9)),
+                     max_size=25))
+@example(rows=[])
+@example(rows=[(1, 5, 3, 0), (1, 5, 2, 1), (0, 5, 9, 2), (1, 4, 7, 3)])
+def test_session_order_equals_pandas_stable_sort(rows):
+    """``session_order`` on a pandas group and on an arrow block (ties
+    on ``ts_us`` included) equals a stable pandas sort on
+    ``(user_id, ts_us, event_id)``, with int64 keys and each extra
+    column in its own dtype."""
+    from container_crawler_ray.pipelines.kernels import session_order
+
+    df = pd.DataFrame(rows, columns=["user_id", "ts_us", "event_id", "v"])
+    df = df.astype({"user_id": "int32", "ts_us": "int64",
+                    "event_id": "int64", "v": "int64"})
+    df["tag"] = df["v"].map(lambda v: f"t{v}").astype(object)
+    ref = df.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
+    for src in (df, pa.Table.from_pandas(df, preserve_index=False)):
+        u, ts, e, v, tag = session_order(src, "v", "tag")
+        for got, col in ((u, "user_id"), (ts, "ts_us"), (e, "event_id")):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, ref[col].to_numpy(np.int64))
+        assert v.dtype == np.int64 and tag.dtype == object
+        np.testing.assert_array_equal(v, ref["v"].to_numpy())
+        assert tag.tolist() == ref["tag"].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                      max_size=30))
+def test_pair_masses_equal_pair_enumeration(cells):
+    """``pair_masses`` over a count grid equals enumerating every pair
+    of grid entries: concordant when both coordinates rise, discordant
+    when one rises and the other falls; ``gamma_milli`` closes them."""
+    from container_crawler_ray.pipelines.kernels import (
+        gamma_milli, pair_masses)
+
+    grid = np.zeros((4, 4), dtype=np.int64)
+    for a, b in cells:
+        grid[a, b] += 1
+    conc = sum(1 for i, (a1, b1) in enumerate(cells)
+               for a2, b2 in cells[i + 1:]
+               if (a1 - a2) * (b1 - b2) > 0)
+    disc = sum(1 for i, (a1, b1) in enumerate(cells)
+               for a2, b2 in cells[i + 1:]
+               if (a1 - a2) * (b1 - b2) < 0)
+    assert pair_masses(grid) == (conc, disc)
+    tot = conc + disc
+    assert gamma_milli(conc, disc) == (
+        0 if tot == 0 else (1 if conc >= disc else -1)
+        * (1000 * abs(conc - disc) // tot))

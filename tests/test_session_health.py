@@ -3,8 +3,8 @@ pathology (BENCH/BASELINE.md): running the headline crawl first could
 nondeterministically inflate a later Python-loop-heavy query in the SAME
 Ray session by 30-60x (strip_dup_windows 231 s vs ~7 s). Round 2 shipped
 two mitigations — the mask stage was batch-vectorized (one searchsorted
-per batch, ~20x smaller Python-loop exposure) and bench.py moved the
-query sweep to a fresh session. With those in place the inflation no
+per batch, ~20x smaller Python-loop exposure) and the round-2 bench
+script moved the query sweep to a fresh session. With those in place the inflation no
 longer reproduces at any scale tried (100k and 229k fetched URLs, sf0.01
 and sf0.1: post-crawl runs are 0.3-1.1x fresh — FASTER, warm workers).
 This test keeps the pathology pinned: it poisons the session with a real

@@ -19,8 +19,9 @@ Exit code 1 + a POISONED verdict if phase C inflates past 2x phase A.
 Disposition (2026-08-20, Ray 2.49.2, this container): NOT REPRODUCIBLE
 in this minimal form — see BASELINE.md 'Session-health disposition'.
 The engine keeps two fences regardless: the loop-heavy mask stage was
-batch-vectorized (round 2) and bench.py isolates the query sweep in a
-fresh session; tests/test_session_health.py pins the full-engine shape.
+batch-vectorized (round 2) and the round-2 bench script ran the query
+sweep in a fresh session; tests/test_session_health.py pins the
+full-engine shape.
 If this script ever prints POISONED, attach its output to a Ray issue
 (github.com/ray-project/ray) — it is self-contained and deterministic.
 
