@@ -539,8 +539,6 @@ def embedding_triplet_audit(sf_dir: str) -> pd.DataFrame:
     its vectors with their ≤3 triplet memberships via broadcast
     searchsorted and ships (triplet, role, packed-vector) rows through
     ONE ``triplet % 64`` exchange whose fold computes both distances."""
-    import ray
-
     meta = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                  columns=["vec_id", "label"]).to_pandas()
     ids = meta["vec_id"].to_numpy(np.int64)
@@ -787,8 +785,6 @@ def embedding_mmr_topk(sf_dir: str, k: int = 20, m_window: int = 256,
     (same (−bp, id) order as the global merge, vectors carried along);
     the driver merges to the global M-window — M×d is all it ever
     holds — and runs the k-step greedy over an M×M bp matrix."""
-    from ..functions.vectors import list_col_to_matrix, normalize_rows
-
     qids, qmat = _load_queries(sf_dir, 1)
     qref = ray.put(qmat[0])
 

@@ -50,6 +50,12 @@ then, on the driver — numpy and Arrow, no pandas:
 and an atomic checkpoint (``_commit``: state fragments, then meta.json —
 the commit point; kill anywhere → exact resume).
 
+One path serves one engine and many: a single engine is the ring of one,
+with no peer mailboxes to drain or post to. Every per-engine name comes
+from ``_etag``, which adds the ``-e<k>`` suffix only when E > 1, so a
+single-engine run keeps the plain layout; only ``resume_run``'s seen
+restore differs between the two (exclusive vs shared shards).
+
 Watermark semantics (the critical reference invariant [recon:
 ``__init__.py:≈310–330``]): a partition's watermark advances to the max
 scanned rowid IFF no gating error occurred in its chunk (fetch errors of
@@ -61,9 +67,10 @@ failed rows re-enter via the retry queue with attempts+1.
 
 from __future__ import annotations
 
+import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pyarrow as pa
@@ -81,7 +88,7 @@ from ..stages.links import (assign_rowids, dedup_links, make_link_enrich,
 from ..stages.politeness import schedule_table, update_buckets
 from ..stages.scan import window_expr
 from ..state.seen import SeenSet
-from ..storage import TableStore
+from ..storage import TableStore, parse_fragment_name
 
 CAND_SCHEMA = pa.schema(list(RETRY) + [("src", pa.string())])
 
@@ -110,17 +117,34 @@ class CrawlState:
     drained: dict = field(default_factory=dict)
 
 
-def _etag(cfg: CrawlConfig, base: str) -> str:
-    """Per-engine state-fragment tag. Multi-engine runs are shared-nothing
-    (the reference's one-daemon-per-node model): each engine owns the
-    partitions with ``partition_id % num_engines == engine_index`` and its
-    own watermark/retry/bucket state under a suffixed tag."""
-    return f"{base}-e{cfg.engine_index}" if cfg.num_engines > 1 else base
+def _etag(cfg: CrawlConfig, base: str, engine: int | None = None) -> str:
+    """The naming rule for every per-engine name (fragment tags, mailboxes,
+    ``meta*.json``) of this engine or of engine *engine*. Engines are
+    shared-nothing (the reference's one-daemon-per-node model): each owns
+    the partitions with ``partition_id % num_engines == engine_index``."""
+    # one engine and many differ here: a ring of one keeps the plain
+    # names, the coordinator's init layout every engine bootstraps from
+    k = cfg.engine_index if engine is None else engine
+    return f"{base}-e{k}" if cfg.num_engines > 1 else base
 
 
-def _meta_name(cfg: CrawlConfig) -> str:
-    return (f"meta-e{cfg.engine_index}.json" if cfg.num_engines > 1
-            else "meta.json")
+def _inbox(cfg: CrawlConfig, to: int, sender: int) -> str:
+    """Mailbox tag of the link intents *sender* posts to engine *to*."""
+    return _etag(cfg, _etag(cfg, "inbox", to) + "-from", sender)
+
+
+def _peers(cfg: CrawlConfig) -> list[int]:
+    """Every OTHER engine of the run (none for a single engine)."""
+    return [e for e in range(cfg.num_engines) if e != cfg.engine_index]
+
+
+def _peer_commits(store: TableStore, cfg: CrawlConfig) -> dict[int, int]:
+    """Committed pass id of every other engine (-1 before its first)."""
+    out = {}
+    for e in _peers(cfg):
+        m = store.read_meta(_etag(cfg, "meta", e) + ".json")
+        out[e] = -1 if m is None else m["pass_id"]
+    return out
 
 
 # --------------------------------------------------------------------- init
@@ -175,8 +199,10 @@ def init_run(root: str, cfg: CrawlConfig, seed_urls: list[str],
                 type=pa.int32()),
             "rules": [state.robots[h]["rules"] for h in hosts],
         }))
-    single = dataclasses_replace_single(cfg)
-    _write_state_fragments(store, single, state)
+    # the coordinator writes the one-engine (plain-named) init state that
+    # every engine of a multi-engine run bootstraps from
+    _write_state_fragments(
+        store, replace(cfg, num_engines=1, engine_index=0), state)
     # seen_run_id in the init meta lets every engine of a multi-engine run
     # resolve the SAME named shard actors — the seen set is cluster-global,
     # sharded by url_hash, exactly as on a real multi-node cluster
@@ -192,19 +218,12 @@ def init_run(root: str, cfg: CrawlConfig, seed_urls: list[str],
     return store, state
 
 
-def dataclasses_replace_single(cfg: CrawlConfig) -> CrawlConfig:
-    """Coordinator view of the config (init writes the plain/global state)."""
-    import dataclasses
-    if cfg.num_engines == 1:
-        return cfg
-    return dataclasses.replace(cfg, num_engines=1, engine_index=0)
-
-
 def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
     """Exact resume from the last committed pass: every state table is read
     at the meta version; later (torn) fragments are ignored and will be
-    overwritten when the pass re-runs. A multi-engine engine's first start
-    bootstraps from the coordinator's init state (plain meta/ckpt)."""
+    overwritten when the pass re-runs. An engine's first start (no meta of
+    its own yet — only possible when E > 1) bootstraps from the
+    coordinator's init state (plain meta/ckpt)."""
     store = TableStore(root)
     init_meta = store.read_meta()
     assert init_meta is not None, "no meta.json — nothing to resume"
@@ -214,7 +233,7 @@ def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
     assert init_parts is None or init_parts == cfg.num_partitions, (
         f"resume with num_partitions={cfg.num_partitions} but the run was "
         f"initialized with {init_parts}")
-    meta = store.read_meta(_meta_name(cfg)) if cfg.num_engines > 1 else init_meta
+    meta = store.read_meta(_etag(cfg, "meta") + ".json")
     bootstrap = meta is None
     if bootstrap:
         meta = init_meta  # engine's first start: coordinator state at pass 0
@@ -250,9 +269,8 @@ def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
         drained=dict((int(k), v) for k, v in
                      (meta.get("drained") or {}).items()),
     )
-    own = (lambda q: q % cfg.num_engines == cfg.engine_index)
     for row in ck.to_pylist():
-        if cfg.num_engines > 1 and not own(row["partition_id"]):
+        if row["partition_id"] % cfg.num_engines != cfg.engine_index:
             continue
         state.watermarks[row["partition_id"]] = row["last_row"]
         state.next_rowid[row["partition_id"]] = row["next_rowid"]
@@ -261,28 +279,34 @@ def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
     if bk is not None:
         state.buckets = dict(zip(bk.column("host").to_pylist(),
                                  bk.column("tokens").to_pylist()))
-    # seen restore: single-engine restores its snapshot unconditionally
-    # (its torn-pass marks must roll back to the commit point, and no
-    # other engine's marks can be erased). Multi-engine shards are
-    # SHARED mutable state: restoring any LIVE shard from a snapshot
-    # would erase marks other engines added after it was taken (their
-    # committed docs would then re-fetch as duplicates). So snapshots
-    # only ever hydrate FRESH shard actors (num_items == 0 — node loss /
-    # first start), each from its owner engine's last committed
-    # fragment; a resuming engine's own uncommitted marks are instead
-    # rolled back SURGICALLY from its mark-WAL (below).
+    # seen restore — one engine and many differ here, in semantics, not
+    # in layout. A single engine owns every shard exclusively, so it
+    # restores its snapshot unconditionally (its torn-pass marks must roll
+    # back to the commit point, and no other engine's marks can be
+    # erased). Multi-engine shards are SHARED mutable state: restoring any
+    # LIVE shard from a snapshot would erase marks other engines added
+    # after it was taken (their committed docs would then re-fetch as
+    # duplicates). So snapshots only ever hydrate FRESH shard actors
+    # (num_items == 0 — node loss / first start), each from its owner
+    # engine's last committed fragment; a resuming engine's own
+    # uncommitted marks are instead rolled back SURGICALLY from its
+    # mark-WAL (below).
     if cfg.num_engines == 1:
         sn = store.read_fragment("seen_shards", "seen", p)
         if sn is not None and len(sn):
             state.seen.restore_from_table(sn)
     else:
+        if "seen_run_id" not in init_meta:
+            raise ValueError(
+                "meta.json has no seen_run_id: a single-engine pass has "
+                "committed, so the engines cannot share one seen set; "
+                "initialize a multi-engine run with zero passes")
+        peers = _peer_commits(store, cfg)
         items = state.seen.items_per_shard()
-        for e in range(cfg.num_engines):
-            m_e = store.read_meta(f"meta-e{e}.json")
-            if m_e is None:
+        for e, q in {**peers, cfg.engine_index: -1 if bootstrap else p}.items():
+            if q < 0:
                 continue
-            sn = store.read_fragment("seen_shards", f"seen-e{e}",
-                                     m_e["pass_id"])
+            sn = store.read_fragment("seen_shards", _etag(cfg, "seen", e), q)
             if sn is not None and len(sn):
                 ok = {s for s in range(cfg.seen_shards)
                       if s % cfg.num_engines == e and items[s] == 0}
@@ -322,9 +346,7 @@ def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
         if wal is not None and len(wal):
             torn = wal.column("url_hash").to_numpy().astype(np.uint64)
             foreign: list[np.ndarray] = []
-            for e in range(cfg.num_engines):
-                if e == cfg.engine_index:
-                    continue
+            for e in peers:
                 # scan EVERY retained fragment of this foreign engine,
                 # not just its last _MARK_WAL_KEEP passes: GC retention
                 # is pinned by the min commit frontier across engines
@@ -332,9 +354,9 @@ def resume_run(root: str, cfg: CrawlConfig) -> tuple[TableStore, CrawlState]:
                 # protecting fragment can be far older than the foreign
                 # engine's own recent window — and an in-flight pass WAL
                 # (pass_id+1) is also in the listing.
-                for q in store.list_fragment_passes(
-                        "marks", f"marks-e{e}"):
-                    fw = store.read_fragment("marks", f"marks-e{e}", q)
+                tag = _etag(cfg, "marks", e)
+                for q in store.list_fragment_passes("marks", tag):
+                    fw = store.read_fragment("marks", tag, q)
                     if fw is not None and len(fw):
                         foreign.append(
                             fw.column("url_hash").to_numpy()
@@ -400,12 +422,11 @@ def _write_state_fragments(store: TableStore, cfg: CrawlConfig,
         schema=BUCKETS,
     )
     store.append_fragment("buckets", bk, p, tag=_etag(cfg, "buckets"))
-    # multi-engine: each engine checkpoints the seen shards it owns
-    # (shard % E == engine) so no engine overwrites another's marks
-    shard_ids = None
-    if cfg.num_engines > 1:
-        shard_ids = [s for s in range(cfg.seen_shards)
-                     if s % cfg.num_engines == cfg.engine_index]
+    # each engine checkpoints the seen shards it owns (shard % E ==
+    # engine; all of them for one engine), so no engine overwrites
+    # another's marks
+    shard_ids = [s for s in range(cfg.seen_shards)
+                 if s % cfg.num_engines == cfg.engine_index]
     store.append_fragment("seen_shards", state.seen.snapshot_table(shard_ids),
                           p, tag=_etag(cfg, "seen"))
     if retry_tbl is not None:
@@ -425,21 +446,16 @@ def _write_state_fragments(store: TableStore, cfg: CrawlConfig,
     # resumes. The 'temporal overlap' bound holds at ROLLBACK time only
     # when anchored to the slowest engine.
     frontier = p
-    if cfg.num_engines > 1:
-        for e in range(cfg.num_engines):
-            if e == cfg.engine_index:
-                continue
-            m_e = store.read_meta(f"meta-e{e}.json")
-            e_pass = m_e["pass_id"] if m_e is not None else -1
-            if e_pass < p - _MARK_WAL_KEEP:
-                # retention stays pinned (WAL fragments accumulate) until
-                # the lagging engine commits again
-                _LOG.warning(
-                    "mark-WAL retention pinned: engine %d committed pass "
-                    "%s, engine %d is at pass %d",
-                    e, e_pass if m_e is not None else "none (no meta)",
-                    cfg.engine_index, p)
-            frontier = min(frontier, e_pass)
+    for e, e_pass in _peer_commits(store, cfg).items():
+        if e_pass < p - _MARK_WAL_KEEP:
+            # retention stays pinned (WAL fragments accumulate) until the
+            # lagging engine commits again
+            _LOG.warning(
+                "mark-WAL retention pinned: engine %d committed pass %s, "
+                "engine %d is at pass %d",
+                e, e_pass if e_pass >= 0 else "none (no meta)",
+                cfg.engine_index, p)
+        frontier = min(frontier, e_pass)
     store.gc_state_fragments("marks", _etag(cfg, "marks"),
                              frontier - _MARK_WAL_KEEP)
 
@@ -454,54 +470,43 @@ def _purge_torn_pass(store: TableStore, cfg: CrawlConfig,
     produces nothing for one of them, the torn fragment would survive and
     be read back as committed data once this pass's meta lands (e.g. a
     garbage ``append_0000NN.parquet`` crashes the NEXT pass's scan).
-    Only this engine's own tags are touched; shared-name tags (dead,
-    metrics) are purged in single-engine mode only."""
-    store.remove_fragment("frontier", _etag(cfg, "append"), pass_id)
+    Every name here is this engine's own (``_etag``), for one engine and
+    many alike, so no other engine's fragment is touched."""
+    append = _etag(cfg, "append")
+    store.remove_fragment("frontier", append, pass_id)
+    store.remove_fragment("frontier", append + "d", pass_id)
     store.remove_fragment("retry", _etag(cfg, "retry"), pass_id)
+    store.remove_fragment("dead_letter", _etag(cfg, "dead"), pass_id)
+    store.remove_fragment("metrics", _etag(cfg, "metrics"), pass_id)
     store.remove_pass_dir("documents", pass_id, tag=_etag(cfg, "pass"))
     store.remove_pass_dir("lineage", pass_id, tag=_etag(cfg, "pass"))
-    if cfg.num_engines == 1:
-        store.remove_fragment("dead_letter", "dead", pass_id)
-        store.remove_fragment("metrics", "metrics", pass_id)
-    else:
-        store.remove_fragment(
-            "frontier", f"append-e{cfg.engine_index}d", pass_id)
-        for tgt in range(cfg.num_engines):
-            if tgt != cfg.engine_index:
-                store.remove_fragment(
-                    "mailbox",
-                    f"inbox-e{tgt}-from-e{cfg.engine_index}", pass_id)
+    for e in _peers(cfg):
+        store.remove_fragment("mailbox", _inbox(cfg, e, cfg.engine_index),
+                              pass_id)
 
 
-# ------------------------------------------------------------ multi-engine
+# --------------------------------------------------------- engine exchange
 def _committed_frontier_files(store: TableStore, cfg: CrawlConfig,
                               pass_id: int) -> list[str]:
-    """Multi-engine frontier visibility for pass *pass_id*: the seed
-    fragments (coordinator, committed by the plain init meta), THIS
-    engine's committed appends and its drained mailbox fragments up to
-    this pass's own drain. Foreign engines never append to the shared
-    frontier — they post link intents to per-engine mailboxes instead —
-    so cross-engine rowid sequences cannot collide."""
-    import os as _os
-
-    from ..storage import fragment_pass_id
-
-    e = cfg.engine_index
+    """Frontier visibility for pass *pass_id*: the coordinator's seed
+    ``append`` and THIS engine's appends up to its last committed pass,
+    and its drained mailbox fragments up to this pass's own drain (for
+    one engine: every committed ``append`` fragment). Engines post
+    foreign links to the owner's mailbox instead of appending them, so
+    rowid sequences cannot collide."""
+    append = _etag(cfg, "append")
     out = []
     for f in store.fragments("frontier"):
-        base = _os.path.basename(f)
-        p = fragment_pass_id(base)
-        if p is None:
-            continue
-        if (base.startswith("append_")            # coordinator seed
-                or (base.startswith(f"append-e{e}_") and p < pass_id)
-                or (base.startswith(f"append-e{e}d_") and p <= pass_id)):
+        frag = parse_fragment_name(os.path.basename(f))
+        if frag is not None and (
+                (frag.tag in ("append", append) and frag.hi < pass_id)
+                or (frag.tag == append + "d" and frag.hi <= pass_id)):
             out.append(f)
     return out
 
 
 def _drain_mailboxes(store: TableStore, cfg: CrawlConfig, state: CrawlState,
-                     pass_id: int) -> int:
+                     pass_id: int) -> None:
     """Pick up committed link intents addressed to this engine, assign
     rowids from this engine's per-partition counters (deterministic order:
     sender, sender-pass, then canonical_url, depth and raw url — a total
@@ -513,15 +518,11 @@ def _drain_mailboxes(store: TableStore, cfg: CrawlConfig, state: CrawlState,
     """
     rows: list[pa.Table] = []
     new_drained = dict(state.drained)
-    for e in range(cfg.num_engines):
-        if e == cfg.engine_index:
-            continue
-        m_e = store.read_meta(f"meta-e{e}.json")
-        committed = m_e["pass_id"] if m_e else -1
+    for e, committed in _peer_commits(store, cfg).items():
         lo = new_drained.get(e, 0)
         for sp in range(lo + 1, committed + 1):
-            t = store.read_fragment("mailbox",
-                                    f"inbox-e{cfg.engine_index}-from-e{e}", sp)
+            t = store.read_fragment(
+                "mailbox", _inbox(cfg, cfg.engine_index, e), sp)
             if t is not None and len(t):
                 rows.append(t.sort_by([("canonical_url", "ascending"),
                                        ("depth", "ascending"),
@@ -529,14 +530,12 @@ def _drain_mailboxes(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         if committed > lo:
             new_drained[e] = committed
     state.drained = new_drained
-    if not rows:
-        return 0
-    tbl = _append_in_list_order(pa.concat_tables(rows), state.next_rowid,
-                                pass_id)
-    store.append_fragment("frontier", tbl, pass_id,
-                          tag=f"append-e{cfg.engine_index}d",
-                          meta=_frontier_meta(tbl))
-    return len(tbl)
+    if rows:
+        tbl = _append_in_list_order(pa.concat_tables(rows), state.next_rowid,
+                                    pass_id)
+        store.append_fragment("frontier", tbl, pass_id,
+                              tag=_etag(cfg, "append") + "d",
+                              meta=_frontier_meta(tbl))
 
 
 def _prune_consumed_fragments(store: TableStore, files: list[str],
@@ -594,14 +593,10 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                                         cfg.parse_cost_bytes)
 
     # ---- scan + retry → one bounded candidate table on the driver --------
-    if cfg.num_engines > 1:
-        _drain_mailboxes(store, cfg, state, pass_id)
-        frontier_files = _committed_frontier_files(store, cfg, pass_id)
-    else:
-        frontier_files = store.fragments("frontier",
-                                         committed_passes=state.pass_id)
-    frontier_files = _prune_consumed_fragments(store, frontier_files,
-                                               state.watermarks)
+    _drain_mailboxes(store, cfg, state, pass_id)
+    frontier_files = _prune_consumed_fragments(
+        store, _committed_frontier_files(store, cfg, pass_id),
+        state.watermarks)
     pieces = []
     if frontier_files:
         # the window (wm, wm + items_chunk] of every owned partition,
@@ -622,7 +617,8 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         if n_dead:
             dead = retry_tbl.filter(
                 pc.greater_equal(retry_tbl.column("attempts"), cfg.max_attempts))
-            store.append_fragment("dead_letter", dead, pass_id, tag="dead")
+            store.append_fragment("dead_letter", dead, pass_id,
+                                  tag=_etag(cfg, "dead"))
         if len(retry_live):
             pieces.append(_add_cand_cols(retry_live, "retry"))
     n_cand = sum(len(t) for t in pieces)
@@ -766,16 +762,12 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
         # POSTED, not appended: only the owning engine may assign rowids
         # in its partitions
         novel = dedup_links(novel)
-        E, me = cfg.num_engines, cfg.engine_index
-        owner = novel.column("partition_id").to_numpy() % E
-        for tgt in range(E):
-            if tgt != me:
-                sub = novel.filter(pa.array(owner == tgt))
-                if len(sub):
-                    store.append_fragment("mailbox", sub, pass_id,
-                                          tag=f"inbox-e{tgt}-from-e{me}")
-        append_pieces.append(
-            to_append_shape(novel.filter(pa.array(owner == me)), 1))
+        owner = novel.column("partition_id").to_numpy() % cfg.num_engines
+        for e in np.unique(owner[owner != cfg.engine_index]).tolist():
+            store.append_fragment("mailbox", novel.filter(pa.array(
+                owner == e)), pass_id, tag=_inbox(cfg, e, cfg.engine_index))
+        append_pieces.append(to_append_shape(
+            novel.filter(pa.array(owner == cfg.engine_index)), 1))
     n_new_links = 0
     n_append_in = sum(len(x) for x in append_pieces)
     if append_pieces:
@@ -866,7 +858,7 @@ def run_pass(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                       "stage": stage, "rows_in": r_in, "rows_out": r_out,
                       "errors": err, "wall_ms": int(sec * 1000)})
     store.append_fragment("metrics", pa.Table.from_pylist(mrows, schema=METRICS),
-                          pass_id, tag="metrics")
+                          pass_id, tag=_etag(cfg, "metrics"))
     _commit(store, cfg, state, pass_id, retry_next)
     _mark("checkpoint")
     return {
@@ -912,7 +904,7 @@ def _commit(store: TableStore, cfg: CrawlConfig, state: CrawlState,
                       "num_partitions": cfg.num_partitions,
                       "drained": state.drained,
                       "salted_hosts": sorted(state.salted_hosts)},
-                     name=_meta_name(cfg))
+                     name=_etag(cfg, "meta") + ".json")
 
 
 def _finalize_empty_pass(store, cfg, state, pass_id, t0, n_dead=0) -> dict:
@@ -1004,11 +996,11 @@ def destroy_run_actors(root: str, cfg: CrawlConfig) -> int:
     meta = store.read_meta("seen_run.json") or store.read_meta() or {}
     if "seen_run_id" not in meta:
         return 0
-    run_id = meta["seen_run_id"]
+    seen = SeenSet(meta["seen_run_id"], cfg.seen_shards)
     killed = 0
     for i in range(cfg.seen_shards):
         try:
-            a = ray.get_actor(f"seen-{run_id}-{i}", namespace=NAMESPACE)
+            a = ray.get_actor(seen.shard_name(i), namespace=NAMESPACE)
         except ValueError:
             continue
         ray.kill(a)

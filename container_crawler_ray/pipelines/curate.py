@@ -32,7 +32,6 @@ def curate_docs(sf_dir: str, min_tokens: int = 10,
                                columns=["doc_id", "text"])
 
     def gate(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         stats = text_stats_batch(t)
         keep = pc.and_(
             pc.greater_equal(stats.column("n_tokens"),
@@ -69,9 +68,6 @@ def curate_pack(sf_dir: str, budget: int = 2048,
     membership filter; packing then runs partition-local exactly like
     ``spans.pack_sequences``. Output: (doc_id, seq_id, seq_off,
     n_chars) for curated docs only."""
-    import numpy as np
-    import ray
-
     keep = np.sort(curate_dedup(sf_dir, jaccard_tau=jaccard_tau)
                    ["keep_id"].to_numpy().astype(np.int64))
     keep_ref = ray.put(keep)
@@ -103,10 +99,7 @@ def write_curated(sf_dir: str, out_dir: str, budget: int = 2048,
     Returns the manifest (block, n_docs, n_seqs, path, skipped)."""
     import os
 
-    import numpy as np
-    import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray
 
     os.makedirs(out_dir, exist_ok=True)
     done = {f for f in os.listdir(out_dir) if f.endswith(".parquet")}
@@ -173,9 +166,6 @@ def decontaminate_docs(sf_dir: str, k: int = 3,
     (stand-in for an external eval file). Benchmark docs themselves are
     excluded from the output. Output: (doc_id, n_windows,
     n_contaminated) for every non-benchmark doc with >= 1 window."""
-    import numpy as np
-    import ray
-
     from ..functions.hashing import hash64_many
 
     import pyarrow.parquet as pq
@@ -234,9 +224,6 @@ def docs_split_assign(sf_dir: str, train_pct: int = 90,
     partials folded on the driver (the (lang × split) result is
     constant-sized — no shuffle). Output: per (lang, split) doc and char
     counts, the sanity report a split job emits."""
-    import numpy as np
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang", "n_chars"])
 
@@ -273,9 +260,6 @@ def docs_mixture_sample(sf_dir: str, budget_chars: int = 4000) -> pd.DataFrame:
     would run the same prefix-sum as two linear passes (per-block
     partial sums → broadcast block offsets), never a global sort.
     Output per source: docs/chars kept vs available."""
-    import numpy as np
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", "n_chars"])
 
@@ -333,7 +317,6 @@ def docs_chunk_windows(sf_dir: str, window: int = 120,
                                columns=["doc_id", "text"])
 
     def chunk(t: pa.Table) -> pa.Table:
-        import numpy as np
         texts = t.column("text").to_pylist()
         did = t.column("doc_id").to_numpy().astype(np.int64)
         nch = np.array([len(s) for s in texts], dtype=np.int64)
@@ -372,7 +355,6 @@ def source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
     ``event_type_overlap``). Empty tokens are dropped on both sides."""
     import hashlib
 
-    import ray
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
@@ -1099,7 +1081,6 @@ def kfold_balance_audit(sf_dir: str, k: int = 5) -> pd.DataFrame:
     def partial(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy()
         src = np.asarray(t.column("source"), dtype=object)
-        from ..functions.hashing import int_keys_md5_u64
         fold = (int_keys_md5_u64(did.astype(np.int64))
                 % np.uint64(k)).astype(np.int64)
         us, inv = np.unique(src, return_inverse=True)

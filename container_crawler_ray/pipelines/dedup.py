@@ -1119,8 +1119,6 @@ def strip_dup_windows(sf_dir: str, k: int = 3) -> pd.DataFrame:
     few extra windows); (2) map-side re-hash + mask per doc. Output per
     doc: token counts before/after and the number of maximal masked
     spans — the golden recomputes all of it independently."""
-    import ray
-
     from ..functions.hashing import hash64_many
 
     docs = read(sf_dir, "documents", columns=["doc_id", "text"],

@@ -93,7 +93,6 @@ def purchase_click_asof(sf_dir: str) -> pd.DataFrame:
               columns=["event_id", "ts", "user_id", "event_type"])
 
     def tag(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         keep = pc.is_in(t.column("event_type"),
                         value_set=pa.array(["click", "purchase"]))
         t = t.filter(keep)
@@ -151,13 +150,10 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
     (same one-exchange pattern as ``order_priority_revenue``) with the
     (orderkey, date) partial aggregate inside each bucket, so the final
     exchange moves one row per order, not per lineitem."""
-    import ray
-
     cutoff_us = int(pd.Timestamp(cutoff).value // 1000)
     cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     def seg_keys(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         m = pc.equal(t.column("c_mktsegment"), segment)
         return t.filter(m).select(["c_custkey"])
 
@@ -272,7 +268,6 @@ def part_supplier_revenue(sf_dir: str) -> pd.DataFrame:
     pre-aggregates per block — no shuffle join, and the single groupby
     exchange moves one row per (brand, nation, block)."""
     import pyarrow.parquet as pq
-    import ray
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -356,7 +351,6 @@ def q5_region_supplier_volume(sf_dir: str,
     is one C-level pandas merge + numpy mask.
     """
     import pyarrow.parquet as pq
-    import ray
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     reg = pq.read_table(f"{sf_dir}/region.parquet")
@@ -487,8 +481,6 @@ def big_order_lines_bloom(sf_dir: str,
     removed by the exact co-partition join that follows, so the result
     is value-exact regardless of the Bloom error rate.
     """
-    import ray
-
     from ..functions.hashing import mix64
 
     m_bits = 1 << 23                      # 1 MiB bitmap
@@ -581,8 +573,6 @@ def q18_large_orders(sf_dir: str, qty_threshold: int = 250) -> pd.DataFrame:
     ~5× slower than the bucketed reduce at sf0.1.) Survivors and
     customer are broadcast via ``ray.put`` to filter/annotate orders
     map-side. No fact-fact shuffle at all."""
-    import ray
-
     items = read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def part_qty(t: pa.Table) -> pa.Table:
@@ -652,8 +642,6 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     fallback is the bucketed co-partition join used elsewhere in this
     module — the predicate and outputs are unchanged.
     """
-    import ray
-
     items = read(sf_dir, "lineitem",
                  columns=["l_partkey", "l_quantity"])
 
@@ -708,8 +696,6 @@ def q14_promo_revenue(sf_dir: str, year: int = 1996) -> pd.DataFrame:
     the final reduce sees |blocks| rows, no all-to-all at any width.
     Ratio reported in integer basis points so the DuckDB twin matches
     bit-for-bit."""
-    import ray
-
     part = (read(sf_dir, "part", columns=["p_partkey", "p_type"])
             .to_pandas())
     pk = part["p_partkey"].to_numpy(np.int64)
@@ -758,8 +744,6 @@ def q7_nation_volume(sf_dir: str, y0: int = 1996,
     LUTs broadcast once via ``ray.put``. Each bucket pre-aggregates to
     (supp_nation, cust_nation, year) partials, so the second exchange
     moves ≤ |nations|² · years rows per bucket."""
-    import ray
-
     nation = read(sf_dir, "nation",
                   columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nation["n_nationkey"].to_numpy(np.int64)
@@ -852,8 +836,6 @@ def q19_bracket_revenue(sf_dir: str) -> pd.DataFrame:
     brackets. Part attributes (brand id + size) broadcast once as dense
     LUTs; the disjunction is one vectorized boolean expression per
     block; each block emits a single partial row."""
-    import ray
-
     brackets = [("Brand#1", 1, 15, 1, 11),
                 ("Brand#2", 1, 25, 10, 20),
                 ("Brand#3", 1, 35, 20, 30)]
@@ -962,8 +944,6 @@ def q22_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
     prefilter of ``big_order_lines_bloom`` — same predicate, same
     outputs); (3) customer is filtered map-side against the scalar +
     the broadcast set."""
-    import ray
-
     cust = read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
 
     def bal_partial(t: pa.Table) -> pa.Table:
@@ -1225,8 +1205,6 @@ def q8_market_share(sf_dir: str, nation: str = "NATION_3",
     once via ``ray.put`` and each bucket pre-aggregates to per-year
     (nation_cents, total_cents) partials, so the reduce sees
     |buckets| × |years| rows."""
-    import ray
-
     nat = read(sf_dir, "nation",
                columns=["n_nationkey", "n_name", "n_regionkey"]) \
         .to_pandas()
@@ -1344,8 +1322,6 @@ def q9_nation_year_revenue(sf_dir: str,
     One fact-fact exchange (lineitem ⨝ orders on ``orderkey % 64``
     buckets); part-name-match and supplier→nation broadcast as dense
     LUTs; buckets pre-aggregate to (nation, year) partials."""
-    import ray
-
     nat = read(sf_dir, "nation",
                columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nat["n_nationkey"].to_numpy(np.int64)
@@ -1444,8 +1420,6 @@ def q2_min_cost_supplier(sf_dir: str, max_size: int = 10) -> pd.DataFrame:
     beats two native sort-aggregates here); supplier names come from a
     dimension broadcast at the end. No fact-fact shuffle, one exchange
     total."""
-    import ray
-
     part = read(sf_dir, "part", columns=["p_partkey", "p_size"]).to_pandas()
     pk = part["p_partkey"].to_numpy(np.int64)
     keep = dense_lookup(
@@ -1568,8 +1542,6 @@ def q11_important_parts(sf_dir: str, nationkey: int = 3,
     grand total is the (tiny) sum of the per-part rows already on the
     driver, so the HAVING comparison is integer arithmetic with no
     second pass over the fact table."""
-    import ray
-
     sup = read(sf_dir, "supplier",
                columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = sup["s_suppkey"].to_numpy(np.int64)
@@ -1703,8 +1675,6 @@ def q16_supplier_breadth(sf_dir: str) -> pd.DataFrame:
     re-attached only to the ≤|brand×type| result rows on the driver.
     (The first cut used two native string-key sort aggregates and was
     6× slower — measured 9.6 s vs 1.5 s at sf0.1.)"""
-    import ray
-
     part = read(sf_dir, "part",
                 columns=["p_partkey", "p_brand", "p_type"]).to_pandas()
     bt = (part["p_brand"].astype(str) + "\x1f" + part["p_type"]
@@ -2846,8 +2816,6 @@ def nation_trade_balance(sf_dir: str) -> pd.DataFrame:
     dimension-sized dense LUTs broadcast once via ``ray.put``; each
     bucket emits ≤ 2·|nations| partial rows. Every nation appears
     (zero-filled), mirroring the twin's LEFT JOIN from the dimension."""
-    import ray
-
     nation = read(sf_dir, "nation",
                   columns=["n_nationkey", "n_name"]).to_pandas()
     nk = nation["n_nationkey"].to_numpy(np.int64)
@@ -2940,8 +2908,6 @@ def customer_balance_deciles(sf_dir: str) -> pd.DataFrame:
     is still millions, not billions); the orders fact side then needs
     only a 10-cell bincount per block — ZERO shuffle on the fact
     table."""
-    import ray
-
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_acctbal"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
@@ -3459,7 +3425,6 @@ def nation_flow_stdres(sf_dir: str) -> pd.DataFrame:
     |stdres| with the (sn, cn) numeric tie rule."""
     import math
 
-    import ray
 
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
@@ -3626,8 +3591,6 @@ def trade_home_bias(sf_dir: str) -> pd.DataFrame:
     ``orderkey % 64`` with supplier->nation / customer->nation LUTs
     broadcast once via ``ray.put``; buckets emit lane-matrix-sized
     count partials and the driver folds a 25x25 grid."""
-    import ray
-
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
@@ -3674,8 +3637,6 @@ def nation_ship_lag_median(sf_dir: str) -> pd.DataFrame:
     ships once); buckets emit (nation, lag-day) HISTOGRAM partials —
     nation x ~bounded-lag cells, never rows — and the quantile scan
     runs per nation on the driver grid. Pure integers."""
-    import ray
-
     cust = read(sf_dir, "customer",
                 columns=["c_custkey", "c_nationkey"]).to_pandas()
     ck = cust["c_custkey"].to_numpy(np.int64)
@@ -3760,8 +3721,6 @@ def supplier_type_coverage(sf_dir: str) -> pd.DataFrame:
     ships ZERO rows: each block emits distinct (nation, type) pairs
     plus per-nation line counts, and the driver folds a 25 x 150
     grid. Pure integers."""
-    import ray
-
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
@@ -3812,8 +3771,6 @@ def part_supply_resilience(sf_dir: str) -> pd.DataFrame:
     emits per-(part, nation) revenue-cents partials (bounded by
     part x 25, never rows); the driver folds diversity per part.
     Pure integers end to end."""
-    import ray
-
     supp = read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = supp["s_suppkey"].to_numpy(np.int64)
@@ -3874,8 +3831,6 @@ def customer_brand_loyalty(sf_dir: str) -> pd.DataFrame:
     q7 kernel (ONE orderkey exchange; part->brand LUT broadcast);
     buckets emit (customer, brand)-cell count partials bounded by
     customers x 25."""
-    import ray
-
     part = read(sf_dir, "part",
                 columns=["p_partkey", "p_brand"]).to_pandas()
     bcode, buniq = pd.factorize(part["p_brand"], sort=True)
@@ -3997,8 +3952,6 @@ def region_share_shift(sf_dir: str) -> pd.DataFrame:
     LUT (dimension tables are tiny); each block emits a regions x 2
     cents grid partial — ZERO row shuffle; a tiny span pre-pass
     anchors the halves. Pure integers."""
-    import ray
-
     nat = read(sf_dir, "nation",
                columns=["n_nationkey", "n_regionkey"]).to_pandas()
     n2r = dense_lookup(nat["n_nationkey"].to_numpy(np.int64),

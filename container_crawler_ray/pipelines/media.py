@@ -397,7 +397,6 @@ def media_frame_coverage(sf_dir: str) -> pd.DataFrame:
             .sum())
 
     def nframes(t: pa.Table) -> pa.Table:
-        import hashlib
         did = t.column("doc_id").to_numpy().astype(np.int64)
         nf = np.array([8 + int(hashlib.md5(s.encode()).hexdigest()
                                [:15], 16) % 24

@@ -119,8 +119,6 @@ def lm_bigram_scores(sf_dir: str, min_count: int = 1) -> pd.DataFrame:
     identical integers; per-doc summation touches only the doc's own
     segment. Empty docs are dropped (no positions to score).
     """
-    import ray
-
     from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -210,7 +208,6 @@ def bm25_scores(sf_dir: str, topn: int = 20, k1: float = 1.2,
     (idf · tf saturation) is per-doc from identical integers on both
     sides, so the independent golden matches exactly."""
     import pyarrow.parquet as pq_
-    import ray
 
     q_tbl = pq_.read_table(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"],
@@ -366,8 +363,6 @@ def heavy_hitter_trigrams(sf_dir: str,
     GROUP BY ... HAVING), while both exchanges stay bounded: stage 1
     moves <= m rows per block, stage 2 moves <= |candidates| rows per
     block. Deterministic regardless of block order."""
-    import ray
-
     m = _MG_CAPACITY
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
@@ -465,7 +460,6 @@ def bpe_merges(sf_dir: str, n_merges: int = 12,
     Deterministic tie-break: highest count, then lexicographic
     (left, right). Output: one row per learned rule
     (rank, left, right, n = pair frequency when merged)."""
-    import ray
     from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -562,7 +556,6 @@ def pmi_bigrams(sf_dir: str, min_count: int = 10,
     becomes a word-bucketed co-partition join — the data-sized path is
     unchanged). ``min_count`` prunes the long tail before scoring, the
     standard PMI noise floor."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -625,8 +618,6 @@ def trigram_spectrum(sf_dir: str, cap: int = 10) -> pd.DataFrame:
     exchange merges per-block gram counts, each bucket emits ≤ cap
     spectrum counters. Same tokenizer as ``heavy_hitter_trigrams``
     (whitespace split), so the twin's regexp token stream matches."""
-    import ray
-
     from ..functions.hashing import hash64_many
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -677,11 +668,6 @@ def token_head_tail_ladder(sf_dir: str, levels: int = 4) -> pd.DataFrame:
     -1 sentinels once the head degenerates below two tokens. One
     frequencies-only vocabulary fold (the ``top_tokens`` exchange
     shape) — the ladder runs on the driver's vocab grid."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 
@@ -728,11 +714,6 @@ def vocab_oov_transfer(sf_dir: str, k: int = 1000) -> pd.DataFrame:
     and type coverage with OOV rates in exact bps — pure integers
     end to end, the two-phase split inherent to the held-out
     design."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 

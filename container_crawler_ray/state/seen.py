@@ -66,7 +66,9 @@ class SeenSet:
         self.bloom_bits = bloom_bits
         self._actors: list | None = None
 
-    def _name(self, i: int) -> str:
+    def shard_name(self, i: int) -> str:
+        """The actor name of shard *i* (every engine of the run resolves
+        the same one)."""
         return f"seen-{self.run_id}-{i}"
 
     @property
@@ -79,22 +81,20 @@ class SeenSet:
             # are reclaimed only by the explicit teardown() kill.
             self._actors = [
                 SeenShard.options(
-                    name=self._name(i), namespace=NAMESPACE,
+                    name=self.shard_name(i), namespace=NAMESPACE,
                     get_if_exists=True, lifetime="detached",
                 ).remote(self.cuckoo_capacity, self.bloom_bits)
                 for i in range(self.num_shards)
             ]
         return self._actors
 
-    def _scatter_gather(self, hashes: np.ndarray, method: str) -> np.ndarray:
-        """Group keys by shard, one RPC per shard, reassemble in order.
-        Retries transient actor unavailability — every shard op here is
-        safe to re-send (contains is read-only; adds are set-idempotent and
-        their return mask is not consumed by the engine)."""
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        out = np.zeros(len(hashes), dtype=bool)
-        if len(hashes) == 0:
-            return out
+    def _scatter(self, hashes: np.ndarray, method: str) -> list[tuple]:
+        """Group keys by shard (``url_hash % S``), one RPC per shard;
+        returns (key mask, shard result) per shard called. Retries
+        transient actor unavailability — every shard op here is safe to
+        re-send (contains is read-only; adds are set-idempotent and their
+        return mask is not consumed by the engine; a re-sent remove is
+        the fingerprint-collision hazard ``crawl.resume_run`` accepts)."""
         shard = (hashes % np.uint64(self.num_shards)).astype(np.int64)
         last_err = None
         for attempt in range(4):
@@ -106,14 +106,20 @@ class SeenSet:
                         refs.append(
                             getattr(self.actors[i], method).remote(hashes[m]))
                         masks.append(m)
-                for m, res in zip(masks, ray.get(refs)):
-                    out[m] = res
-                return out
+                return list(zip(masks, ray.get(refs)))
             except ray.exceptions.ActorUnavailableError as e:
                 last_err = e
                 import time as _time
                 _time.sleep(0.5 * (attempt + 1))
         raise last_err
+
+    def _scatter_gather(self, hashes: np.ndarray, method: str) -> np.ndarray:
+        """The per-key result masks of ``_scatter``, in key order."""
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        out = np.zeros(len(hashes), dtype=bool)
+        for m, res in self._scatter(hashes, method):
+            out[m] = res
+        return out
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return self._scatter_gather(hashes, "contains")
@@ -122,35 +128,20 @@ class SeenSet:
         """was_novel mask; novel keys become members atomically per shard."""
         return self._scatter_gather(hashes, "contains_add")
 
-    def remove(self, hashes: np.ndarray,
-               only_shards: set[int] | None = None) -> tuple[int, int]:
-        """Delete keys from their shards (torn-pass mark rollback),
-        optionally restricted to *only_shards*. The multi-engine resume
-        path calls this with NO shard restriction: it deletes a crashed
-        engine's WAL-logged uncommitted marks from ALL shards — live
-        shards hold the torn marks directly, and freshly-restored
-        foreign snapshots may also contain them (a foreign commit can
-        postdate the torn marks). That is safe because the caller first
-        subtracts hashes present in other engines' retained mark-WALs
-        (the auto-salt dup-mark guard in ``crawl.resume_run``); snapshot
-        restore only hydrates shards whose actors are empty/fresh.
-        Returns total (removed, bloom_residual)."""
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        if len(hashes) == 0:
-            return 0, 0
-        shard = (hashes % np.uint64(self.num_shards)).astype(np.int64)
-        refs = []
-        for i in range(self.num_shards):
-            if only_shards is not None and i not in only_shards:
-                continue
-            m = shard == i
-            if m.any():
-                refs.append(self.actors[i].remove.remote(hashes[m]))
-        removed = residual = 0
-        for r, b in ray.get(refs):
-            removed += r
-            residual += b
-        return removed, residual
+    def remove(self, hashes: np.ndarray) -> tuple[int, int]:
+        """Delete keys from their shards (torn-pass mark rollback). The
+        multi-engine resume path deletes a crashed engine's WAL-logged
+        uncommitted marks from ALL shards — live shards hold the torn
+        marks directly, and freshly-restored foreign snapshots may also
+        contain them (a foreign commit can postdate the torn marks). That
+        is safe because the caller first subtracts hashes present in
+        other engines' retained mark-WALs (the auto-salt dup-mark guard
+        in ``crawl.resume_run``); snapshot restore only hydrates shards
+        whose actors are empty/fresh. Returns total (removed,
+        bloom_residual)."""
+        counts = [res for _, res in self._scatter(
+            np.asarray(hashes, dtype=np.uint64), "remove")]
+        return (sum(r for r, _ in counts), sum(b for _, b in counts))
 
     # ---------------------------------------------------------- checkpoint
     def snapshot_table(self, shard_ids: list[int] | None = None) -> pa.Table:

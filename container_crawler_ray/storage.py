@@ -26,24 +26,58 @@ import glob
 import json
 import os
 import re
+import shutil
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-_PASS_PAT = re.compile(r"_(?:\d{6}x)?(\d{6})([./x])")
+_FRAGMENT = re.compile(r"(.+)_(?:(\d{6})x)?(\d{6})(?:\.\w+)?")
 
 
-def fragment_pass_id(relpath: str) -> int | None:
-    """The pass id that governs a fragment file's commit visibility.
-    Plain fragments: their own pass. ``LOxHI`` compaction segments: HI
-    (a segment only ever covers committed passes, so the upper bound is
-    the correct orphan-filter comparison). EVERY reader that parses a
-    pass id out of a fragment name must use this — a local ``_(\\d{6})\\.``
-    regex silently drops compaction segments (found the hard way in the
-    multi-engine committed-frontier filter)."""
-    m = _PASS_PAT.search(relpath)
-    return int(m.group(1)) if m else None
+class FragmentName(NamedTuple):
+    tag: str
+    lo: int | None      # first pass of a ``LOxHI`` compaction segment
+    # the pass that governs commit visibility: a segment's last pass (it
+    # only ever covers committed passes, so HI is the orphan-filter bound)
+    hi: int
+
+
+def fragment_name(tag: str, pass_id: int, ext: str | None = None,
+                  lo: int | None = None) -> str:
+    """``<tag>_<pass:06d>[.<ext>]``: a pass's fragment file (with *ext*)
+    or per-pass directory; with *lo*, the segment of passes lo..pass."""
+    seg = "" if lo is None else f"{lo:06d}x"
+    name = f"{tag}_{seg}{pass_id:06d}"
+    return name if ext is None else f"{name}.{ext}"
+
+
+def parse_fragment_name(name: str) -> FragmentName | None:
+    """The inverse of ``fragment_name``; None for any other file name
+    (parts inside a pass directory, sidecars, tmp files, manifests)."""
+    m = _FRAGMENT.fullmatch(name)
+    if m is None:
+        return None
+    tag, lo, hi = m.groups()
+    return FragmentName(tag, None if lo is None else int(lo), int(hi))
+
+
+@contextmanager
+def _atomic(path: str):
+    """Yield a tmp path to write, then ``os.replace`` it onto *path*: a
+    kill leaves the old file or the new one. The dot-prefixed tmp name is
+    invisible to the fragment globs and to pyarrow directory reads."""
+    d, base = os.path.split(path)
+    tmp = os.path.join(d, f".{base}.tmp")
+    yield tmp
+    os.replace(tmp, path)
+
+
+def _write_json(path: str, obj: dict, indent: int | None = None) -> None:
+    with _atomic(path) as tmp, open(tmp, "w") as f:
+        json.dump(obj, f, indent=indent)
 
 
 class ParquetBackend:
@@ -127,7 +161,8 @@ class TableStore:
         os.makedirs(os.path.join(root, "tables"), exist_ok=True)
 
     def _write_file(self, table: pa.Table, path: str) -> None:
-        self._backend.write(table, path)
+        with _atomic(path) as tmp:
+            self._backend.write(table, tmp)
 
     def _read_file(self, path: str) -> pa.Table:
         return self._backend.read(path)
@@ -147,9 +182,7 @@ class TableStore:
         ``pass_dir``): tmp + ``os.replace``, so a writer that is retried
         with the same *part* overwrites its file instead of adding one."""
         path = os.path.join(d, f"{part}.{self._ext}")
-        tmp = os.path.join(d, f".{part}.{self._ext}.tmp")
-        self._write_file(table, tmp)
-        os.replace(tmp, path)
+        self._write_file(table, path)
         return path
 
     # ------------------------------------------------------------------ paths
@@ -158,13 +191,18 @@ class TableStore:
         os.makedirs(d, exist_ok=True)
         return d
 
+    def _fragment_path(self, name: str, tag: str, pass_id: int,
+                       is_dir: bool = False) -> str:
+        """Path of *tag*'s pass-*pass_id* fragment file (or per-pass
+        directory) in table *name*."""
+        return os.path.join(self.table_dir(name), fragment_name(
+            tag, pass_id, None if is_dir else self._ext))
+
     # ------------------------------------------------------ atomic singletons
     def write_current(self, name: str, table: pa.Table) -> None:
         """Atomically replace the single-fragment table *name*."""
-        d = self.table_dir(name)
-        tmp = os.path.join(d, f".current.{self._ext}.tmp")
-        self._write_file(table, tmp)
-        os.replace(tmp, os.path.join(d, f"current.{self._ext}"))
+        self._write_file(table, os.path.join(self.table_dir(name),
+                                              f"current.{self._ext}"))
 
     def read_current(self, name: str) -> pa.Table | None:
         p = os.path.join(self.table_dir(name), f"current.{self._ext}")
@@ -177,16 +215,10 @@ class TableStore:
         pass is re-run after a mid-pass kill. Optional *meta* (e.g. rowid
         ranges for scan pruning) lands in the per-fragment sidecar manifest.
         """
-        d = self.table_dir(name)
-        frag = os.path.join(d, f"{tag}_{pass_id:06d}.{self._ext}")
-        tmp = frag + ".tmp"
-        self._write_file(table, tmp)
-        os.replace(tmp, frag)
+        frag = self._fragment_path(name, tag, pass_id)
+        self._write_file(table, frag)
         if meta is not None:
-            mtmp = frag + ".json.tmp"
-            with open(mtmp, "w") as f:
-                json.dump(meta, f)
-            os.replace(mtmp, frag + ".json")
+            _write_json(frag + ".json", meta)
         return frag
 
     def remove_fragment(self, name: str, tag: str, pass_id: int) -> None:
@@ -195,8 +227,7 @@ class TableStore:
         that the re-run won't overwrite (conditional appends are only
         written when non-empty), and once pass N commits those orphans
         would be read back as committed data."""
-        d = self.table_dir(name)
-        frag = os.path.join(d, f"{tag}_{pass_id:06d}.{self._ext}")
+        frag = self._fragment_path(name, tag, pass_id)
         for p in (frag, frag + ".json"):
             if os.path.exists(p):
                 os.remove(p)
@@ -205,9 +236,7 @@ class TableStore:
                         tag: str = "pass") -> None:
         """Delete a per-pass streaming-write directory if present (torn-pass
         purge twin of remove_fragment for ``pass_dir`` sinks)."""
-        import shutil
-
-        d = os.path.join(self.table_dir(name), f"{tag}_{pass_id:06d}")
+        d = self._fragment_path(name, tag, pass_id, is_dir=True)
         if os.path.exists(d):
             shutil.rmtree(d)
 
@@ -234,13 +263,14 @@ class TableStore:
         for ent in man.get("covered", []):
             segments.add(ent["segment"])
             covered.update(ent["originals"])
-        seg_pat = re.compile(r"_\d{6}x\d{6}\." + re.escape(self._ext) + "$")
         kept = []
         for f in files:
             base = os.path.basename(f)
             if base in covered:
                 continue
-            if seg_pat.search(base) and base not in segments:
+            frag = parse_fragment_name(base)
+            if frag is not None and frag.lo is not None \
+                    and base not in segments:
                 continue
             kept.append(f)
         files = kept
@@ -248,10 +278,10 @@ class TableStore:
             return files
         out = []
         for f in files:
-            p = fragment_pass_id(os.path.relpath(f, d))
-            if p is not None and p > committed_passes:
-                continue
-            out.append(f)
+            # a pass dir's parts are governed by the dir's name
+            frag = parse_fragment_name(os.path.relpath(f, d).split(os.sep)[0])
+            if frag is None or frag.hi <= committed_passes:
+                out.append(f)
         return out
 
     # ------------------------------------------------------------ compaction
@@ -284,18 +314,10 @@ class TableStore:
         d = self.table_dir(name)
         man = self._compaction_manifest(name)
         covered = {o for e in man["covered"] for o in e["originals"]}
-        pat = re.compile("^" + re.escape(tag) + r"_(\d{6})\."
-                         + re.escape(self._ext) + "$")
-        picks: list[tuple[int, str]] = []
-        for f in sorted(glob.glob(os.path.join(d, f"{tag}_*.{self._ext}"))):
-            base = os.path.basename(f)
-            m = pat.match(base)
-            if not m or base in covered:
-                continue
-            p = int(m.group(1))
-            if upto_pass is not None and p > upto_pass:
-                continue
-            picks.append((p, f))
+        picks = [(p, self._fragment_path(name, tag, p))
+                 for p in self.list_fragment_passes(name, tag)
+                 if (upto_pass is None or p <= upto_pass)
+                 and fragment_name(tag, p, self._ext) not in covered]
         if len(picks) < 2:
             return None
         lo, hi = picks[0][0], picks[-1][0]
@@ -310,24 +332,15 @@ class TableStore:
                     per[pid] = max(per.get(pid, -1), int(mx))
             side = {"max_rowid": max(m.get("max_rowid", -1) for m in metas),
                     "per_partition_max": per}
-        seg_base = f"{tag}_{lo:06d}x{hi:06d}.{self._ext}"
+        seg_base = fragment_name(tag, hi, self._ext, lo=lo)
         seg = os.path.join(d, seg_base)
-        tmp = seg + ".tmp"
-        self._write_file(merged, tmp)
-        os.replace(tmp, seg)
+        self._write_file(merged, seg)
         if side is not None:
-            mtmp = seg + ".json.tmp"
-            with open(mtmp, "w") as f:
-                json.dump(side, f)
-            os.replace(mtmp, seg + ".json")
+            _write_json(seg + ".json", side)
         man["covered"].append({
             "segment": seg_base,
             "originals": [os.path.basename(f) for _, f in picks]})
-        mpath = os.path.join(d, "compaction.json")
-        mtmp = mpath + ".tmp"
-        with open(mtmp, "w") as f:
-            json.dump(man, f, indent=1)
-        os.replace(mtmp, mpath)
+        _write_json(os.path.join(d, "compaction.json"), man, indent=1)
         for _, f in picks:
             for p_ in (f, f + ".json"):
                 if os.path.exists(p_):
@@ -338,16 +351,14 @@ class TableStore:
         """Directory for a per-pass table written in parts
         (``write_part``). Cleared first so a re-run of an uncommitted pass
         is idempotent."""
-        import shutil
-
-        d = os.path.join(self.table_dir(name), f"{tag}_{pass_id:06d}")
+        d = self._fragment_path(name, tag, pass_id, is_dir=True)
         if os.path.exists(d):
             shutil.rmtree(d)
         os.makedirs(d)
         return d
 
     def read_fragment(self, name: str, tag: str, pass_id: int) -> pa.Table | None:
-        p = os.path.join(self.table_dir(name), f"{tag}_{pass_id:06d}.{self._ext}")
+        p = self._fragment_path(name, tag, pass_id)
         return self._read_file(p) if os.path.exists(p) else None
 
     def list_fragment_passes(self, name: str, tag: str) -> list[int]:
@@ -356,22 +367,18 @@ class TableStore:
         foreign engine's retained mark-WALs (retention is pinned by the
         slowest engine's commit frontier, so a fragment can be older than
         that engine's own ``pass_id - _MARK_WAL_KEEP``)."""
-        d = self.table_dir(name)
-        pat = re.compile(re.escape(tag) + r"_(\d{6})\." + self._ext + "$")
         out = []
-        for f in glob.glob(os.path.join(d, f"{tag}_*.{self._ext}")):
-            m = pat.search(f)
-            if m:
-                out.append(int(m.group(1)))
+        for f in glob.glob(os.path.join(self.table_dir(name),
+                                        f"{tag}_*.{self._ext}")):
+            frag = parse_fragment_name(os.path.basename(f))
+            if frag is not None and frag.tag == tag and frag.lo is None:
+                out.append(frag.hi)
         return sorted(out)
 
     def gc_state_fragments(self, name: str, tag: str, keep_from_pass: int) -> None:
-        d = self.table_dir(name)
-        pat = re.compile(re.escape(tag) + r"_(\d{6})\." + self._ext + "$")
-        for f in glob.glob(os.path.join(d, f"{tag}_*.{self._ext}")):
-            m = pat.search(f)
-            if m and int(m.group(1)) < keep_from_pass:
-                os.remove(f)
+        for p in self.list_fragment_passes(name, tag):
+            if p < keep_from_pass:
+                self.remove_fragment(name, tag, p)
 
     def fragment_meta(self, frag_path: str) -> dict | None:
         p = frag_path + ".json"
@@ -392,10 +399,7 @@ class TableStore:
         """The commit record for a pass: written LAST. ``os.replace`` makes
         it the atomic commit point for the whole pass. Multi-engine runs
         use one meta file per engine (``meta-e<k>.json``)."""
-        tmp = os.path.join(self.root, f".{name}.tmp")
-        with open(tmp, "w") as f:
-            json.dump(meta, f, indent=1)
-        os.replace(tmp, os.path.join(self.root, name))
+        _write_json(os.path.join(self.root, name), meta, indent=1)
 
     def read_meta(self, name: str = "meta.json") -> dict | None:
         p = os.path.join(self.root, name)

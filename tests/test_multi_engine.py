@@ -633,3 +633,78 @@ def test_mailbox_posts_are_deduplicated(tmp_store):
     assert ({d["doc_id"] for d in _docs(rootM)}
             == {d["doc_id"] for d in _docs(rootS)})
     engines[0][2].seen.teardown()
+
+
+def test_per_engine_metrics_cover_every_scanned_partition(tmp_store):
+    """Each engine writes its own metrics fragment, so after one pass per
+    engine at the same pass id the union of their metrics rows covers
+    every partition that was scanned (a metrics tag shared by the engines
+    let the second engine's fragment overwrite the first's)."""
+    from container_crawler_ray.storage import TableStore
+
+    seeds = make_seed_urls(80, n_hosts=10)
+    cfgs = [CrawlConfig(**BASE, num_engines=2, engine_index=e)
+            for e in (0, 1)]
+    init_run(tmp_store, cfgs[0], seeds)
+    engines = [(cfg, *resume_run(tmp_store, cfg)) for cfg in cfgs]
+    scanned = sum(run_pass(store, cfg, st)["scanned"]
+                  for cfg, store, st in engines)
+    store = TableStore(tmp_store)
+    seeded = set(store.read_fragment("frontier", "append", 0)
+                 .column("partition_id").to_pylist())
+    rows = [r for r in store.read_all("metrics").to_pylist()
+            if r["stage"] == "scan" and r["partition_id"] >= 0]
+    assert seeded == set(range(BASE["num_partitions"]))
+    assert {r["partition_id"] for r in rows if r["rows_in"]} == seeded
+    assert sum(r["rows_in"] for r in rows) == scanned
+    engines[0][2].seen.teardown()
+
+
+def test_multi_engine_resume_needs_the_shared_seen_set(tmp_store):
+    """Engines share one seen set through the ``seen_run_id`` of the init
+    ``meta.json``. A run initialized with zero passes keeps it, and every
+    engine resolves the same shards; a committed single-engine pass
+    overwrites ``meta.json`` without it, and a multi-engine resume then
+    refuses to start rather than mint a private seen set per engine."""
+    import pytest
+
+    seeds = make_seed_urls(40, n_hosts=10)
+    cfgs = [CrawlConfig(**BASE, num_engines=2, engine_index=e)
+            for e in (0, 1)]
+    run_crawl(f"{tmp_store}-zero", CrawlConfig(**BASE), seed_urls=seeds,
+              max_passes=0)
+    states = [resume_run(f"{tmp_store}-zero", cfg)[1] for cfg in cfgs]
+    assert states[0].seen.run_id == states[1].seen.run_id
+    states[0].seen.teardown()
+
+    run_crawl(f"{tmp_store}-one", CrawlConfig(**BASE), seed_urls=seeds,
+              max_passes=1)
+    with pytest.raises(ValueError, match="seen_run_id"):
+        resume_run(f"{tmp_store}-one", cfgs[0])
+
+
+def test_engine_names_come_from_the_naming_rule():
+    """Every per-engine name in ``crawl.py`` is built by ``_etag``: no
+    other string there writes an ``-e{...}`` engine suffix. One engine
+    and many choose different code only where they differ (the naming
+    rule and the seen restore in ``resume_run``)."""
+    import ast
+    import inspect
+
+    from container_crawler_ray.pipelines import crawl
+
+    suffixed, branches = [], []
+    for top in ast.parse(inspect.getsource(crawl)).body:
+        where = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if isinstance(n, ast.JoinedStr) and any(
+                    isinstance(a, ast.Constant) and a.value.endswith("-e")
+                    and isinstance(b, ast.FormattedValue)
+                    for a, b in zip(n.values, n.values[1:])):
+                suffixed.append(f"{where}:{n.lineno}")
+            if isinstance(n, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "num_engines"
+                    for x in [n.left, *n.comparators]):
+                branches.append(where)
+    assert all(s.startswith("_etag:") for s in suffixed), suffixed
+    assert sorted(branches) == ["_etag", "resume_run"], branches

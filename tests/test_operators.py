@@ -987,12 +987,17 @@ def _catalog_sources():
 def test_catalog_imports_are_loaded_where_imported():
     """Every name an ``import`` binds in ``pipelines/*.py`` is read in
     the scope that imports it (the module, or the function and the
-    functions nested in it)."""
+    functions nested in it), and no function re-imports a name its
+    module already binds at top level (``import ray`` under a
+    module-level ``import ray.data`` included)."""
     import ast
 
     dead = []
     for name, src in _catalog_sources():
         tree = ast.parse(src)
+        top = {a.asname or a.name.split(".")[0] for n in tree.body
+               if isinstance(n, (ast.Import, ast.ImportFrom))
+               for a in n.names}
         scopes = [tree] + [n for n in ast.walk(tree) if isinstance(
             n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for scope in scopes:
@@ -1017,6 +1022,9 @@ def test_catalog_imports_are_loaded_where_imported():
                     bound = a.asname or a.name.split(".")[0]
                     if bound not in loaded:
                         dead.append(f"{name}:{imp.lineno} {bound}")
+                    if scope is not tree and bound in top:
+                        dead.append(
+                            f"{name}:{imp.lineno} {bound} re-imported")
     assert not dead, "\n".join(dead)
 
 
